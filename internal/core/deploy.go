@@ -120,6 +120,8 @@ type EdgeReplica struct {
 	Forwarded int64
 	// ServedLocally counts requests completed at the edge.
 	ServedLocally int64
+
+	afterErrs *afterInvokeErrs
 }
 
 // Deployment is a running three-tier system.
@@ -127,9 +129,10 @@ type Deployment struct {
 	Clock  *simclock.Clock
 	Result *Result
 
-	Cloud        *cluster.Server
-	CloudBinding *statesync.Binding
-	CloudState   *statesync.ReplicaState
+	Cloud          *cluster.Server
+	CloudBinding   *statesync.Binding
+	CloudState     *statesync.ReplicaState
+	cloudAfterErrs *afterInvokeErrs
 
 	Edges    []*EdgeReplica
 	Balancer *cluster.Balancer
@@ -259,12 +262,8 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 	}
 	cloudNode := cluster.NewNode(clock, cfg.CloudSpec)
 	cloudServer := cluster.NewServer("cloud", cloudNode, cloudApp)
-	cloudServer.AfterInvoke = func() {
-		_ = cloudBinding.MirrorGlobals()
-		if cloudPersist != nil {
-			_ = cloudPersist.Sync(cloudState)
-		}
-	}
+	d.cloudAfterErrs = newAfterInvokeErrs(o, cloudServer.Name)
+	cloudServer.AfterInvoke = afterInvoke(cloudBinding, cloudPersist, cloudState, d.cloudAfterErrs)
 	cloudServer.SetObs(o)
 	// Analysis-guided read/write scheduling: requests on routes the
 	// analysis observed free of state writes take the shared read path.
@@ -352,12 +351,8 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 		}
 		node := cluster.NewNode(clock, spec)
 		server := cluster.NewServer(name, node, replicaApp)
-		server.AfterInvoke = func() {
-			_ = binding.MirrorGlobals()
-			if edgePersist != nil {
-				_ = edgePersist.Sync(edgeState)
-			}
-		}
+		afterErrs := newAfterInvokeErrs(o, name)
+		server.AfterInvoke = afterInvoke(binding, edgePersist, edgeState, afterErrs)
 		server.SetObs(o)
 		if !cfg.Reads.Serialize {
 			replicaApp.SetReadOnlyRoutes(routeRO)
@@ -369,11 +364,12 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 			return cleanup(err)
 		}
 		edge := &EdgeReplica{
-			Name:    name,
-			Server:  server,
-			Binding: binding,
-			State:   edgeState,
-			WAN:     wan,
+			Name:      name,
+			Server:    server,
+			Binding:   binding,
+			State:     edgeState,
+			WAN:       wan,
+			afterErrs: afterErrs,
 		}
 		ep := &statesync.Endpoint{Name: name, State: edgeState, Binding: binding, Persist: edgePersist}
 		if edgePersist != nil {

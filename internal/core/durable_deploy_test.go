@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/durable"
 	"repro/internal/httpapp"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -183,5 +186,61 @@ func TestDeployDurableTCPRestart(t *testing.T) {
 	if es.ChangesRecv != es.ChangesApplied {
 		t.Fatalf("edge received %d changes but applied %d after restart",
 			es.ChangesRecv, es.ChangesApplied)
+	}
+}
+
+// TestAfterInvokeErrorsSurface closes every node's durable store under a
+// live deployment, so each post-request persist fails: the failures must
+// show up in the serve.after_invoke_errors.<server> counters and in
+// Observe, not vanish.
+func TestAfterInvokeErrorsSurface(t *testing.T) {
+	res := transformSubject(t, "sensor-hub")
+	sub, err := workload.ByName("sensor-hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultDeployConfig()
+	cfg.EdgeSpecs = cfg.EdgeSpecs[:1]
+	cfg.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: durable.FsyncNever}
+	o := obs.New()
+	clock := simclock.New()
+	d, err := DeployContext(obs.With(context.Background(), o), clock, res, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	if ob := Observe(d); ob.Bindings[1].AfterInvokeErrors != 0 {
+		t.Fatalf("after-invoke errors before any fault: %+v", ob.Bindings[1])
+	}
+	for _, s := range d.Stores {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const requests = 3
+	for i := 0; i < requests; i++ {
+		d.HandleAtEdge(sub.SampleRequest(0, i, 9), func(_ *httpapp.Response, err error) {
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		})
+		clock.RunUntil(clock.Now() + time.Second)
+	}
+	edge := d.Edges[0]
+	ob := Observe(d)
+	var rec BindingObservation
+	for _, b := range ob.Bindings {
+		if b.Name == edge.Name {
+			rec = b
+		}
+	}
+	if rec.AfterInvokeErrors != requests {
+		t.Fatalf("edge after-invoke errors = %d, want %d (%+v)", rec.AfterInvokeErrors, requests, rec)
+	}
+	if !strings.Contains(rec.AfterInvokeFirstError, "closed") {
+		t.Fatalf("first after-invoke error = %q, want the closed-store failure", rec.AfterInvokeFirstError)
+	}
+	if got := o.Counter("serve.after_invoke_errors." + edge.Name).Value(); got != requests {
+		t.Fatalf("serve.after_invoke_errors.%s = %d, want %d", edge.Name, got, requests)
 	}
 }

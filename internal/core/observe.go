@@ -87,6 +87,11 @@ type BindingObservation struct {
 	ApplyErrors int64 `json:"apply_errors"`
 	// FirstError is the first mirror failure ("" when none).
 	FirstError string `json:"first_error,omitempty"`
+	// AfterInvokeErrors counts failures of the post-request step that
+	// mirrors globals and persists the replica
+	// (serve.after_invoke_errors); AfterInvokeFirstError is the first.
+	AfterInvokeErrors     int64  `json:"after_invoke_errors"`
+	AfterInvokeFirstError string `json:"after_invoke_first_error,omitempty"`
 }
 
 // PlacementObservation is the placement control loop's cumulative
@@ -160,11 +165,18 @@ type EdgeObservation struct {
 	PowerState string  `json:"power_state"`
 }
 
-func bindingObservation(name string, b *statesync.Binding) BindingObservation {
+func bindingObservation(name string, b *statesync.Binding, after *afterInvokeErrs) BindingObservation {
 	n, err := b.ApplyErrors()
 	bo := BindingObservation{Name: name, ApplyErrors: n}
 	if err != nil {
 		bo.FirstError = err.Error()
+	}
+	if after != nil {
+		n, err := after.read()
+		bo.AfterInvokeErrors = n
+		if err != nil {
+			bo.AfterInvokeFirstError = err.Error()
+		}
 	}
 	return bo
 }
@@ -262,9 +274,9 @@ func Observe(d *Deployment) Observation {
 		po := d.Placement.Observation()
 		o.Placement = &po
 	}
-	o.Bindings = append(o.Bindings, bindingObservation("cloud", d.CloudBinding))
+	o.Bindings = append(o.Bindings, bindingObservation("cloud", d.CloudBinding, d.cloudAfterErrs))
 	for _, e := range d.Edges {
-		o.Bindings = append(o.Bindings, bindingObservation(e.Name, e.Binding))
+		o.Bindings = append(o.Bindings, bindingObservation(e.Name, e.Binding, e.afterErrs))
 	}
 	for _, e := range d.Edges {
 		o.Edges = append(o.Edges, EdgeObservation{

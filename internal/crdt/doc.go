@@ -74,6 +74,16 @@ type Doc struct {
 	// compacted records history truncation: changes covered by it have
 	// been dropped and can no longer be served to lagging peers.
 	compacted VersionVector
+	// parents maps every object a map entry has referenced to the entry
+	// that first linked it, so an op on a nested object resolves to the
+	// entry that holds it without a walk over the tree.
+	parents map[ObjID]Slot
+}
+
+// Slot names one entry of a map object: Key in Obj.
+type Slot struct {
+	Obj ObjID
+	Key string
 }
 
 // NewDoc returns an empty document owned by the given actor.
@@ -86,6 +96,7 @@ func NewDoc(actor ActorID) *Doc {
 		vv:        make(VersionVector),
 		objs:      map[ObjID]*object{RootObj: newObject(KindMap)},
 		compacted: make(VersionVector),
+		parents:   make(map[ObjID]Slot),
 	}
 	return d
 }
@@ -216,6 +227,18 @@ func (d *Doc) HistoryLen() int {
 // causal dependencies are parked and applied once the gap fills. The
 // returned count is the number of changes actually applied now.
 func (d *Doc) ApplyChanges(chs []Change) (int, error) {
+	return d.ApplyChangesTouched(chs, nil)
+}
+
+// ApplyChangesTouched is ApplyChanges that also reports, through touched
+// (when non-nil), what every op of every change it integrates wrote —
+// parked changes a later batch releases included. A map op reports the
+// entry it set or deleted; a list or counter op reports Slot{Obj: the
+// object} with an empty Key; RootKey resolves any slot to the root
+// entry whose subtree holds it. Stale writes that lose last-writer-wins are
+// reported too: the caller re-reads the final value, so a spurious
+// touch costs a read, never a wrong answer.
+func (d *Doc) ApplyChangesTouched(chs []Change, touched func(Slot)) (int, error) {
 	d.Commit("")
 	for _, ch := range chs {
 		if ch.Seq == 0 {
@@ -232,7 +255,7 @@ func (d *Doc) ApplyChanges(chs []Change) (int, error) {
 		remaining := d.parked[:0]
 		for _, ch := range d.parked {
 			if d.applicable(ch) {
-				if err := d.integrate(ch); err != nil {
+				if err := d.integrate(ch, touched); err != nil {
 					return applied, err
 				}
 				applied++
@@ -265,10 +288,18 @@ func (d *Doc) applicable(ch Change) bool {
 	return ch.Seq == d.vv[ch.Actor]+1 && d.vv.Covers(ch.Deps)
 }
 
-func (d *Doc) integrate(ch Change) error {
+func (d *Doc) integrate(ch Change, touched func(Slot)) error {
 	for _, op := range ch.Ops {
 		if err := d.applyOp(op); err != nil {
 			return fmt.Errorf("crdt: applying change %s/%d: %w", ch.Actor, ch.Seq, err)
+		}
+		if touched != nil {
+			switch op.Type {
+			case OpSet, OpDel:
+				touched(Slot{Obj: op.Obj, Key: op.Key})
+			case OpInsert, OpUpdate, OpRemove, OpAdd:
+				touched(Slot{Obj: op.Obj})
+			}
 		}
 		if op.TS.Counter > d.counter {
 			d.counter = op.TS.Counter
@@ -299,6 +330,11 @@ func (d *Doc) applyOp(op Op) error {
 		if e == nil {
 			e = &mapEntry{}
 			o.entries[op.Key] = e
+		}
+		if op.Type == OpSet && op.Val.Kind == ValObj {
+			if _, linked := d.parents[op.Val.Obj]; !linked {
+				d.parents[op.Val.Obj] = Slot{Obj: op.Obj, Key: op.Key}
+			}
 		}
 		if !e.ts.Less(op.TS) && !e.ts.IsZero() {
 			return nil // stale write loses
@@ -596,6 +632,39 @@ func (d *Doc) MapGet(obj ObjID, key string) (Value, bool) {
 		return Value{}, false
 	}
 	return e.val, true
+}
+
+// RootKey resolves a slot to the root-map key whose subtree holds it,
+// following the entries that linked each object; ok is false when the
+// chain does not reach the root.
+func (d *Doc) RootKey(s Slot) (string, bool) {
+	// A chain longer than the number of links has a cycle, which only a
+	// malformed change can create.
+	for hops := 0; s.Obj != RootObj; hops++ {
+		p, ok := d.parents[s.Obj]
+		if !ok || hops > len(d.parents) {
+			return "", false
+		}
+		s = p
+	}
+	return s.Key, true
+}
+
+// MapTombstones returns the keys of map obj whose latest write deleted
+// them, in sorted order.
+func (d *Doc) MapTombstones(obj ObjID) []string {
+	o, err := d.obj(obj, KindMap)
+	if err != nil {
+		return nil
+	}
+	var keys []string
+	for k, e := range o.entries {
+		if e.deleted {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // MapKeys returns the live keys of map obj in sorted order.

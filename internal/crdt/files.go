@@ -105,5 +105,20 @@ func (f *Files) GetChanges(since VersionVector) []Change { return f.doc.GetChang
 // ApplyChanges integrates changes from a peer.
 func (f *Files) ApplyChanges(chs []Change) (int, error) { return f.doc.ApplyChanges(chs) }
 
+// ApplyChangesTouched integrates changes from a peer and reports the
+// path each integrated op wrote, removals included. Ops outside the
+// files container cannot change what Read or Paths return and are not
+// reported.
+func (f *Files) ApplyChangesTouched(chs []Change, touched func(path string)) (int, error) {
+	return f.doc.ApplyChangesTouched(chs, func(s Slot) {
+		if s.Obj == f.files {
+			touched(s.Key)
+		}
+	})
+}
+
+// Removed returns the paths whose latest write removed them, sorted.
+func (f *Files) Removed() []string { return f.doc.MapTombstones(f.files) }
+
 // Heads returns the store's version vector.
 func (f *Files) Heads() VersionVector { return f.doc.Heads() }

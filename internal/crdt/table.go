@@ -162,5 +162,46 @@ func (t *Table) GetChanges(since VersionVector) []Change { return t.doc.GetChang
 // ApplyChanges integrates changes from a peer.
 func (t *Table) ApplyChanges(chs []Change) (int, error) { return t.doc.ApplyChanges(chs) }
 
+// RowTouch is what one integrated op wrote in a table store: one row,
+// or — with Whole set and Row empty — the table entry itself, after
+// which any of its rows may differ.
+type RowTouch struct {
+	Table string
+	Row   string
+	Whole bool
+}
+
+// ApplyChangesTouched integrates changes from a peer and reports the row
+// (or whole table) each integrated op wrote, deletions included. Ops
+// outside the tables container cannot change what Row or RowKeys read
+// and are not reported.
+func (t *Table) ApplyChangesTouched(chs []Change, touched func(RowTouch)) (int, error) {
+	return t.doc.ApplyChangesTouched(chs, func(s Slot) {
+		if rt, ok := t.resolve(s); ok {
+			touched(rt)
+		}
+	})
+}
+
+// resolve maps a written slot to its row in O(1): an entry of the
+// container is a table, an entry of a table object is a row, and an
+// entry of a row object is one of that row's columns.
+func (t *Table) resolve(s Slot) (RowTouch, bool) {
+	if s.Obj == t.tables {
+		return RowTouch{Table: s.Key, Whole: true}, true
+	}
+	p, ok := t.doc.parents[s.Obj]
+	if !ok {
+		return RowTouch{}, false
+	}
+	if p.Obj == t.tables {
+		return RowTouch{Table: p.Key, Row: s.Key}, true
+	}
+	if pp, ok := t.doc.parents[p.Obj]; ok && pp.Obj == t.tables {
+		return RowTouch{Table: pp.Key, Row: p.Key}, true
+	}
+	return RowTouch{}, false
+}
+
 // Heads returns the store's version vector.
 func (t *Table) Heads() VersionVector { return t.doc.Heads() }

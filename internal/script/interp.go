@@ -151,10 +151,10 @@ type Interp struct {
 	// guarded marks a read-only fork (see ReadOnlyFork): any attempt to
 	// write shared base/globals state aborts with ErrWriteGuard.
 	guarded bool
-	// defineGen counts new-name defines in the boxed base/globals scopes;
-	// the VM uses it to invalidate cached negative global lookups. It is a
-	// pointer because read-only forks share their parent's boxed scopes
-	// and must observe the same generation counter.
+	// defineGen counts new-name defines (and deletions) in the boxed
+	// base/globals scopes; the VM uses it to invalidate cached global
+	// lookups. It is a pointer because read-only forks share their
+	// parent's boxed scopes and must observe the same generation counter.
 	defineGen *uint64
 	// cfuncs caches this interpreter's link to compiled functions.
 	cfuncs map[string]*compiledFunc
@@ -257,6 +257,17 @@ func (in *Interp) GetGlobal(name string) (any, bool) { return in.globals.get(nam
 // SetGlobal overwrites a global binding; it is how restore operations and
 // CRDT wiring push state into the running service.
 func (in *Interp) SetGlobal(name string, v any) { in.globals.define(name, v) }
+
+// DeleteGlobal removes a global binding: later references fail as
+// undefined until it is set again. It is how the CRDT wiring applies a
+// global another replica deleted.
+func (in *Interp) DeleteGlobal(name string) {
+	if _, ok := in.globals.boxes[name]; !ok {
+		return
+	}
+	delete(in.globals.boxes, name)
+	*in.defineGen++
+}
 
 // Call invokes a declared function with the given arguments, on the
 // bytecode VM by default or on the tree-walking reference evaluator when

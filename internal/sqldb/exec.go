@@ -324,7 +324,8 @@ func (db *DB) execSelect(s *selectStmt, args []any) (*Result, error) {
 	}
 	// Gather matching rows in insertion order.
 	var matched []Row
-	for _, key := range t.keyOrder {
+	var one [1]string
+	for _, key := range db.candidates(t, s.where, args, &one) {
 		row := t.rows[key]
 		ok, err := rowMatches(s.where, row, args)
 		if err != nil {

@@ -123,6 +123,59 @@ type tableData struct {
 	rows     map[string]Row
 	keyOrder []string
 	nextID   int64
+	// drift counts rows held under a key that no lookup of their
+	// primary-key value probes (an UPDATE rewrote the key column, or a
+	// replicated row arrived under a foreign key); see drifted. Point
+	// lookups are exact only while it is zero.
+	drift int
+}
+
+// countDrift adds delta (±1) to the drift count when row, held under
+// key, is not where an INSERT of it would put it. Removals skip the key
+// formatting while nothing has drifted.
+func (t *tableData) countDrift(key string, row Row, delta int) {
+	if t.pkCol == "" || (delta < 0 && t.drift == 0) {
+		return
+	}
+	if t.drifted(key, row) {
+		t.drift += delta
+	}
+}
+
+// drifted reports whether row, held under key, is where no lookup of
+// its key value would look: key is neither keyString of the value nor
+// one of its probe keys. A replicated numeric key of 1e6 or more is
+// held under its origin's integer spelling ("1000000"), which the probe
+// set lists beside the float spelling ("1e+06"), so it does not drift.
+func (t *tableData) drifted(key string, row Row) bool {
+	if t.pkCol == "" {
+		return false
+	}
+	v := row[t.pkCol]
+	if keyString(v) == key {
+		return false
+	}
+	var buf [4]string
+	keys, ok := probeKeys(v, buf[:0])
+	if !ok {
+		return true
+	}
+	for _, k := range keys {
+		if k == key {
+			return false
+		}
+	}
+	return true
+}
+
+// removeKey drops key from the table's row order.
+func (t *tableData) removeKey(key string) {
+	for i, k := range t.keyOrder {
+		if k == key {
+			t.keyOrder = append(t.keyOrder[:i], t.keyOrder[i+1:]...)
+			return
+		}
+	}
 }
 
 func (t *tableData) clone() *tableData {
@@ -133,6 +186,7 @@ func (t *tableData) clone() *tableData {
 		rows:     make(map[string]Row, len(t.rows)),
 		keyOrder: append([]string(nil), t.keyOrder...),
 		nextID:   t.nextID,
+		drift:    t.drift,
 	}
 	for k, r := range t.rows {
 		c.rows[k] = r.clone()
@@ -151,6 +205,9 @@ type DB struct {
 	hooks  []MutationHook
 	probe  MutationHook
 	muted  bool
+	// scanOnly disables primary-key lookups, so tests can compare them
+	// with the scan they replace.
+	scanOnly bool
 }
 
 // Open returns an empty database.
@@ -292,6 +349,63 @@ func (db *DB) Dump() map[string][]Row {
 		out[name] = rows
 	}
 	return out
+}
+
+// PutRow stores cols as the whole row held under key in table, without
+// SQL text and without firing mutation hooks — the synchronization
+// runtime applies replicated rows through it. An existing row keeps its
+// place in the table's order; a new one is appended, as INSERT does.
+// Values are coerced like statement arguments. In a table without a
+// primary key, a synthetic "_rowid_<n>" key advances the row-ID counter
+// past n, so a later INSERT never reuses it. The table must exist
+// (ErrNoTable otherwise).
+func (db *DB) PutRow(table, key string, cols map[string]any) error {
+	row := make(Row, len(cols))
+	for c, v := range cols {
+		nv, err := normalizeArg(v)
+		if err != nil {
+			return fmt.Errorf("sqldb: column %q: %w", c, err)
+		}
+		row[c] = nv
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	if old, ok := t.rows[key]; ok {
+		t.countDrift(key, old, -1)
+	} else {
+		t.keyOrder = append(t.keyOrder, key)
+	}
+	t.rows[key] = row
+	t.countDrift(key, row, +1)
+	if t.pkCol == "" && strings.HasPrefix(key, rowIDPrefix) {
+		if n, err := strconv.ParseInt(key[len(rowIDPrefix):], 10, 64); err == nil && n > t.nextID {
+			t.nextID = n
+		}
+	}
+	return nil
+}
+
+// RemoveRow deletes the row held under key in table, without SQL text
+// and without firing mutation hooks. A missing table or row is not an
+// error: there is nothing to remove.
+func (db *DB) RemoveRow(table, key string) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, ok := db.tables[table]
+	if !ok {
+		return
+	}
+	row, ok := t.rows[key]
+	if !ok {
+		return
+	}
+	t.countDrift(key, row, -1)
+	delete(t.rows, key)
+	t.removeKey(key)
 }
 
 // Exec parses and executes one SQL statement. Placeholders (?) are
@@ -472,6 +586,9 @@ func (db *DB) table(name string) (*tableData, error) {
 	return t, nil
 }
 
+// rowIDPrefix starts the synthetic keys of tables without a primary key.
+const rowIDPrefix = "_rowid_"
+
 func keyString(v any) string {
 	switch x := v.(type) {
 	case string:
@@ -519,7 +636,7 @@ func (db *DB) execInsert(s *insertStmt, args []any) (*Result, error) {
 			}
 		} else {
 			t.nextID++
-			key = "_rowid_" + strconv.FormatInt(t.nextID, 10)
+			key = rowIDPrefix + strconv.FormatInt(t.nextID, 10)
 		}
 		t.rows[key] = row
 		t.keyOrder = append(t.keyOrder, key)
@@ -536,7 +653,9 @@ func (db *DB) execUpdate(s *updateStmt, args []any) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	for _, key := range t.keyOrder {
+	_, setsKey := s.sets[t.pkCol]
+	var one [1]string
+	for _, key := range db.candidates(t, s.where, args, &one) {
 		row := t.rows[key]
 		match, err := rowMatches(s.where, row, args)
 		if err != nil {
@@ -547,7 +666,8 @@ func (db *DB) execUpdate(s *updateStmt, args []any) (*Result, error) {
 		}
 		// Evaluate every SET expression against the pre-update row so
 		// that "SET a = b, b = a" behaves like SQL, not like sequential
-		// assignment.
+		// assignment, and so that a failing one leaves the row and the
+		// drift count as they were.
 		newVals := make(map[string]any, len(s.sets))
 		for _, col := range s.setOrder {
 			v, err := evalExpr(s.sets[col], row, args)
@@ -556,8 +676,14 @@ func (db *DB) execUpdate(s *updateStmt, args []any) (*Result, error) {
 			}
 			newVals[col] = v
 		}
+		if setsKey {
+			t.countDrift(key, row, -1)
+		}
 		for col, v := range newVals {
 			row[col] = v
+		}
+		if setsKey {
+			t.countDrift(key, row, +1)
 		}
 		res.Affected++
 		db.emit(Mutation{Table: s.table, Kind: MutUpdate, Key: key, Cols: row.clone()})
@@ -570,24 +696,37 @@ func (db *DB) execDelete(s *deleteStmt, args []any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	kept := t.keyOrder[:0]
-	for _, key := range t.keyOrder {
-		row := t.rows[key]
-		match, err := rowMatches(s.where, row, args)
+	// Match first and mutate after, so a WHERE that fails on some row
+	// leaves the table untouched.
+	var one [1]string
+	var doomed []string
+	for _, key := range db.candidates(t, s.where, args, &one) {
+		match, err := rowMatches(s.where, t.rows[key], args)
 		if err != nil {
 			return nil, err
 		}
 		if match {
-			delete(t.rows, key)
-			res.Affected++
-			db.emit(Mutation{Table: s.table, Kind: MutDelete, Key: key})
-			continue
+			doomed = append(doomed, key)
 		}
-		kept = append(kept, key)
 	}
-	t.keyOrder = kept
-	return res, nil
+	for _, key := range doomed {
+		t.countDrift(key, t.rows[key], -1)
+		delete(t.rows, key)
+		db.emit(Mutation{Table: s.table, Kind: MutDelete, Key: key})
+	}
+	switch {
+	case len(doomed) == 1:
+		t.removeKey(doomed[0])
+	case len(doomed) > 1:
+		kept := t.keyOrder[:0]
+		for _, key := range t.keyOrder {
+			if _, live := t.rows[key]; live {
+				kept = append(kept, key)
+			}
+		}
+		t.keyOrder = kept
+	}
+	return &Result{Affected: len(doomed)}, nil
 }
 
 func rowMatches(where expr, row Row, args []any) (bool, error) {

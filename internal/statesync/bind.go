@@ -1,6 +1,8 @@
 package statesync
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,6 +31,7 @@ type Binding struct {
 
 	trackedTables map[string]bool
 	trackedFiles  bool
+	synced        map[string]bool // globals the units sync
 	lastGlobals   map[string]any
 
 	// errMu guards the outbound-mirror failure record. The mutation
@@ -102,10 +105,14 @@ func bind(app *httpapp.App, state *ReplicaState, units analysis.StateUnits, seed
 		state:         state,
 		units:         units,
 		trackedTables: map[string]bool{},
+		synced:        map[string]bool{},
 		lastGlobals:   map[string]any{},
 	}
 	for _, t := range units.Tables {
 		b.trackedTables[t] = true
+	}
+	for _, g := range units.GlobalsToSync() {
+		b.synced[g] = true
 	}
 	b.trackedFiles = len(units.Files) > 0 || len(units.FileStmts) > 0
 
@@ -276,8 +283,12 @@ func (b *Binding) MirrorGlobals() error {
 	return nil
 }
 
+// globalPrefix marks the JSON component's root keys that hold synced
+// globals.
+const globalPrefix = "g:"
+
 func putGlobal(state *ReplicaState, name string, v any) error {
-	return state.JSON.PutGo("root", "g:"+name, goValue(v))
+	return state.JSON.PutGo(crdt.RootObj, globalPrefix+name, goValue(v))
 }
 
 // ApplyRemote integrates a delta and pushes the resulting state into the
@@ -289,95 +300,195 @@ func (b *Binding) ApplyRemote(d Delta) error {
 
 // ApplyRemoteCount is ApplyRemote reporting how many changes the CRDT
 // layer actually integrated (duplicates are ignored and not counted).
+// Only the keys the integrated changes touched are pushed into the app,
+// each from its final CRDT value, so the cost follows the delta, not
+// the replicated state; a delta that integrates nothing leaves the app
+// alone. When integration fails part-way, what was integrated is still
+// pushed before the error returns.
 func (b *Binding) ApplyRemoteCount(d Delta) (int, error) {
-	n, err := b.state.ApplyCount(d)
-	if err != nil {
+	n, touched, err := b.state.ApplyCount(d)
+	if touched.Empty() {
 		return n, err
 	}
-	return n, b.PushIntoApp()
+	if perr := b.pushTouched(touched); err == nil {
+		err = perr
+	}
+	return n, err
 }
 
-// PushIntoApp materializes the CRDT state into the live database,
-// filesystem, and interpreter globals.
-func (b *Binding) PushIntoApp() error {
-	db := b.app.DB()
-	db.SetMuted(true)
-	defer db.SetMuted(false)
-	fs := b.app.FS()
-	fs.SetMuted(true)
-	defer fs.SetMuted(false)
-
-	// Tables: rebuild tracked tables from CRDT rows.
-	for _, name := range b.state.Tables.TableNames() {
+// pushTouched brings the app's copy of every touched key up to date.
+func (b *Binding) pushTouched(t *Touched) error {
+	defer b.mute()()
+	rebuilt := make(map[string]bool, len(t.Tables))
+	for _, name := range t.Tables {
 		if !b.trackedTables[name] {
 			continue
 		}
-		if _, err := db.Exec("CREATE TABLE IF NOT EXISTS " + name + " (id INT PRIMARY KEY)"); err != nil {
+		rebuilt[name] = true
+		if err := b.pushTable(name); err != nil {
 			return err
 		}
-		if _, err := db.Exec("DELETE FROM " + name); err != nil {
-			return err
-		}
-		for _, key := range b.state.Tables.RowKeys(name) {
-			row, ok := b.state.Tables.Row(name, key)
-			if !ok {
-				continue
-			}
-			if err := insertRow(db, name, row); err != nil {
-				return err
-			}
-		}
 	}
-	// Files.
-	if b.trackedFiles {
-		for _, p := range b.state.Files.Paths() {
-			content, ok := b.state.Files.Read(p)
-			if !ok {
-				continue
-			}
-			if cur, err := fs.Read(p); err == nil && string(cur) == string(content) {
-				continue
-			}
-			if err := fs.Write(p, content); err != nil {
-				return err
-			}
-		}
-	}
-	// Globals.
-	for _, name := range b.units.GlobalsToSync() {
-		v, ok := b.state.JSON.MapGet("root", "g:"+name)
-		if !ok {
+	for _, r := range t.Rows {
+		if !b.trackedTables[r.Table] || rebuilt[r.Table] {
 			continue
 		}
-		var sv any
-		if v.Kind == crdt.ValObj { // materialize the nested object
-			m, err := b.state.JSON.Materialize(v.Obj)
-			if err != nil {
+		if err := b.pushRow(r.Table, r.Row); err != nil {
+			return err
+		}
+	}
+	if b.trackedFiles {
+		for _, p := range t.Files {
+			if err := b.pushFile(p); err != nil {
 				return err
 			}
-			sv = scriptValue(m)
-		} else {
-			sv = scriptValue(v.ToGo())
 		}
-		b.app.Interp().SetGlobal(name, sv)
-		b.lastGlobals[name] = script.DeepCopy(sv)
+	}
+	for _, k := range t.JSON {
+		if name, ok := strings.CutPrefix(k, globalPrefix); ok && b.synced[name] {
+			if err := b.pushGlobal(name); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-func insertRow(db *sqldb.DB, table string, row map[string]any) error {
-	cols := make([]string, 0, len(row))
-	for c := range row {
-		cols = append(cols, c)
+// PushIntoApp materializes the whole CRDT state into the live database,
+// filesystem, and interpreter globals: every tracked table is rebuilt in
+// row-key order, every file written, and files and globals whose CRDT
+// entry was deleted are removed. BindReplica runs it once; afterwards
+// ApplyRemoteCount pushes only what each delta touched.
+func (b *Binding) PushIntoApp() error {
+	defer b.mute()()
+	for _, name := range b.state.Tables.TableNames() {
+		if !b.trackedTables[name] {
+			continue
+		}
+		if err := b.pushTable(name); err != nil {
+			return err
+		}
 	}
-	sort.Strings(cols)
-	placeholders := make([]string, len(cols))
-	args := make([]any, len(cols))
-	for i, c := range cols {
-		placeholders[i] = "?"
-		args[i] = row[c]
+	if b.trackedFiles {
+		for _, paths := range [][]string{b.state.Files.Paths(), b.state.Files.Removed()} {
+			for _, p := range paths {
+				if err := b.pushFile(p); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	q := "INSERT INTO " + table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(placeholders, ", ") + ")"
-	_, err := db.Exec(q, args...)
+	deleted := map[string]bool{}
+	for _, k := range b.state.JSON.MapTombstones(crdt.RootObj) {
+		deleted[k] = true
+	}
+	for _, name := range b.units.GlobalsToSync() {
+		// A global the CRDT never held keeps the app's own value.
+		if _, ok := b.state.JSON.MapGet(crdt.RootObj, globalPrefix+name); !ok && !deleted[globalPrefix+name] {
+			continue
+		}
+		if err := b.pushGlobal(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mute suppresses the app's mutation hooks, so pushed state is not
+// mirrored back out, and returns the function that restores them.
+func (b *Binding) mute() func() {
+	db, fs := b.app.DB(), b.app.FS()
+	db.SetMuted(true)
+	fs.SetMuted(true)
+	return func() {
+		db.SetMuted(false)
+		fs.SetMuted(false)
+	}
+}
+
+// ensureTable creates a table the app has not declared, keyed like the
+// CRDT rows it will hold.
+func (b *Binding) ensureTable(name string) error {
+	_, err := b.app.DB().Exec("CREATE TABLE IF NOT EXISTS " + name + " (id INT PRIMARY KEY)")
 	return err
+}
+
+// pushTable replaces a table's rows with the CRDT's, in row-key order.
+func (b *Binding) pushTable(name string) error {
+	if err := b.ensureTable(name); err != nil {
+		return err
+	}
+	db := b.app.DB()
+	if _, err := db.Exec("DELETE FROM " + name); err != nil {
+		return err
+	}
+	for _, key := range b.state.Tables.RowKeys(name) {
+		if row, ok := b.state.Tables.Row(name, key); ok {
+			if err := db.PutRow(name, key, row); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// pushRow copies one row's final CRDT value into the database under its
+// CRDT key, or removes the row the CRDT deleted.
+func (b *Binding) pushRow(table, key string) error {
+	db := b.app.DB()
+	row, ok := b.state.Tables.Row(table, key)
+	if !ok {
+		db.RemoveRow(table, key)
+		return nil
+	}
+	err := db.PutRow(table, key, row)
+	if errors.Is(err, sqldb.ErrNoTable) {
+		if err := b.ensureTable(table); err != nil {
+			return err
+		}
+		err = db.PutRow(table, key, row)
+	}
+	return err
+}
+
+// pushFile writes a file's CRDT content when the app's copy differs, or
+// removes the file the CRDT deleted.
+func (b *Binding) pushFile(p string) error {
+	fs := b.app.FS()
+	content, ok := b.state.Files.Read(p)
+	if !ok {
+		if fs.Exists(p) {
+			return fs.Remove(p)
+		}
+		return nil
+	}
+	if cur, err := fs.Read(p); err == nil && bytes.Equal(cur, content) {
+		return nil
+	}
+	return fs.Write(p, content)
+}
+
+// pushGlobal sets a synced global to its CRDT value, or deletes it from
+// the interpreter when the CRDT holds none, and records what was pushed
+// so MirrorGlobals does not echo it back.
+func (b *Binding) pushGlobal(name string) error {
+	v, ok := b.state.JSON.MapGet(crdt.RootObj, globalPrefix+name)
+	if !ok {
+		b.app.Interp().DeleteGlobal(name)
+		delete(b.lastGlobals, name)
+		return nil
+	}
+	var sv any
+	if v.Kind == crdt.ValObj { // materialize the nested object
+		m, err := b.state.JSON.Materialize(v.Obj)
+		if err != nil {
+			return err
+		}
+		sv = scriptValue(m)
+	} else {
+		sv = scriptValue(v.ToGo())
+	}
+	b.app.Interp().SetGlobal(name, sv)
+	b.lastGlobals[name] = script.DeepCopy(sv)
+	return nil
 }

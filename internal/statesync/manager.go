@@ -54,7 +54,8 @@ func (e *Endpoint) applyCount(d Delta) (int, error) {
 		if e.Binding != nil {
 			return e.Binding.ApplyRemoteCount(d)
 		}
-		return e.State.ApplyCount(d)
+		n, _, err := e.State.ApplyCount(d)
+		return n, err
 	}()
 	if err != nil {
 		return n, err

@@ -139,30 +139,102 @@ func (s *ReplicaState) Delta(since Heads) Delta {
 
 // Apply integrates a delta received from a peer.
 func (s *ReplicaState) Apply(d Delta) error {
-	_, err := s.ApplyCount(d)
+	_, _, err := s.ApplyCount(d)
 	return err
 }
 
 // ApplyCount integrates a delta and reports how many changes were
-// actually applied. The CRDT layer ignores changes the replica already
-// holds, so a count below d.Changes() means the peer resent known
-// operations — the transport's duplicate-free re-handshake tests pin
-// the two equal.
-func (s *ReplicaState) ApplyCount(d Delta) (int, error) {
-	nj, err := s.JSON.ApplyChanges(d[CompJSON])
+// actually applied, and which replicated keys they touched. The CRDT
+// layer ignores changes the replica already holds, so a count below
+// d.Changes() means the peer resent known operations — the transport's
+// duplicate-free re-handshake tests pin the two equal. On error the
+// touched set still covers every change integrated before it.
+func (s *ReplicaState) ApplyCount(d Delta) (int, *Touched, error) {
+	t := &Touched{}
+	nj, err := s.JSON.ApplyChangesTouched(d[CompJSON], func(sl crdt.Slot) {
+		if k, ok := s.JSON.RootKey(sl); ok {
+			t.add(touchJSON, k, "")
+		}
+	})
 	if err != nil {
-		return nj, fmt.Errorf("statesync: json: %w", err)
+		return nj, t, fmt.Errorf("statesync: json: %w", err)
 	}
-	nt, err := s.Tables.ApplyChanges(d[CompTables])
+	nt, err := s.Tables.ApplyChangesTouched(d[CompTables], func(rt crdt.RowTouch) {
+		if rt.Whole {
+			t.add(touchTable, rt.Table, "")
+		} else {
+			t.add(touchRow, rt.Table, rt.Row)
+		}
+	})
 	if err != nil {
-		return nj + nt, fmt.Errorf("statesync: tables: %w", err)
+		return nj + nt, t, fmt.Errorf("statesync: tables: %w", err)
 	}
-	nf, err := s.Files.ApplyChanges(d[CompFiles])
+	nf, err := s.Files.ApplyChangesTouched(d[CompFiles], func(p string) { t.add(touchFile, p, "") })
 	if err != nil {
-		return nj + nt + nf, fmt.Errorf("statesync: files: %w", err)
+		return nj + nt + nf, t, fmt.Errorf("statesync: files: %w", err)
 	}
-	return nj + nt + nf, nil
+	return nj + nt + nf, t, nil
 }
+
+// Touched is the set of replicated keys the changes integrated by one
+// ApplyCount wrote, deletions included, each list in first-touch order.
+// Reading each key's final value back from the CRDT components brings
+// an app up to date with the delta without visiting anything else.
+type Touched struct {
+	// Rows lists the (table, row) pairs written.
+	Rows []RowRef
+	// Tables lists tables whose entry itself was written (created or
+	// replaced): any of their rows may have changed.
+	Tables []string
+	// Files lists file paths written or removed.
+	Files []string
+	// JSON lists root keys of the JSON component written or deleted —
+	// "g:<name>" for a synced global.
+	JSON []string
+
+	seen map[touchKey]struct{}
+}
+
+// RowRef names one row of one table.
+type RowRef struct{ Table, Row string }
+
+type touchKind uint8
+
+const (
+	touchRow touchKind = iota
+	touchTable
+	touchFile
+	touchJSON
+)
+
+type touchKey struct {
+	kind touchKind
+	a, b string
+}
+
+func (t *Touched) add(kind touchKind, a, b string) {
+	k := touchKey{kind, a, b}
+	if _, dup := t.seen[k]; dup {
+		return
+	}
+	if t.seen == nil {
+		t.seen = make(map[touchKey]struct{})
+	}
+	t.seen[k] = struct{}{}
+	switch kind {
+	case touchRow:
+		t.Rows = append(t.Rows, RowRef{a, b})
+	case touchTable:
+		t.Tables = append(t.Tables, a)
+	case touchFile:
+		t.Files = append(t.Files, a)
+	case touchJSON:
+		t.JSON = append(t.JSON, a)
+	}
+}
+
+// Empty reports whether nothing was touched.
+func (t *Touched) Empty() bool { return len(t.seen) == 0 }
 
 // advanceHeads merges a received delta's change positions into a
 // peer-knowledge summary, mutating and returning h (allocating when

@@ -476,8 +476,11 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 				m.o.batchFramesPerWrite.Observe(float64(len(sent)))
 				m.o.batchChangesSent.Observe(float64(delta.Changes()))
 				if err == nil {
+					// Merge, never assign: while the lock was released for
+					// the write, the reader may have advanced the cursor
+					// past changes the edge shipped us; heads predates them.
 					if granted == len(frames) {
-						peerKnown = heads
+						peerKnown = mergeHeads(peerKnown, heads)
 					} else {
 						for _, f := range sent {
 							peerKnown = advanceHeads(peerKnown, f.Delta)
@@ -915,8 +918,11 @@ func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 				e.o.batchFramesPerWrite.Observe(float64(len(sent)))
 				e.o.batchChangesSent.Observe(float64(delta.Changes()))
 				if err == nil {
+					// Merge, never assign: the reader may have advanced the
+					// cursor while the lock was released (see the master's
+					// pusher).
 					if granted == len(frames) {
-						e.peerKnown = heads
+						e.peerKnown = mergeHeads(e.peerKnown, heads)
 					} else {
 						for _, f := range sent {
 							e.peerKnown = advanceHeads(e.peerKnown, f.Delta)

@@ -2,6 +2,7 @@ package statesync
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -531,5 +532,73 @@ func TestBadHelloReportsFrameKind(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), string(frameState)) {
 		t.Fatalf("edge error %q does not name the unexpected frame kind", err)
+	}
+}
+
+// TestTCPTwoWritersNoEcho is the send-cursor regression: the cloud and
+// two edges all write continuously while every edge link is slowed, so
+// a pusher's frame write often overlaps its reader applying the peer's
+// changes. The cursor update after the write must merge with what the
+// reader learned in between; assigning the pre-write heads instead
+// forgets the peer's changes and echoes them back, which shows up as
+// received changes the CRDT layer discards as duplicates.
+func TestTCPTwoWritersNoEcho(t *testing.T) {
+	master := newState(t, "cloud")
+	srv, err := ServeMasterConfig("127.0.0.1:0", &Endpoint{Name: "cloud", State: master}, fastTCPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+
+	ctrl := faultnet.NewController()
+	ctrl.SetDelay(time.Millisecond)
+	type edgeNode struct {
+		tcp *TCPEdge
+		st  *ReplicaState
+	}
+	var edges []edgeNode
+	for _, name := range []string{"writer-a", "writer-b"} {
+		st, err := master.Fork(crdtActor(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fastTCPConfig()
+		cfg.Dialer = ctrl.Dialer()
+		e, err := DialEdgeConfig(srv.Addr(), &Endpoint{Name: name, State: st}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = e.Close() }()
+		edges = append(edges, edgeNode{e, st})
+	}
+
+	for i := 0; i < 150; i++ {
+		srv.Do(func() { putKey(t, master, fmt.Sprintf("cloud-%d", i%10), float64(i)) })
+		for j, e := range edges {
+			e.tcp.Do(func() { putKey(t, e.st, fmt.Sprintf("edge%d-%d", j, i%10), float64(i)) })
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctrl.SetDelay(0)
+	if !waitFor(t, 10*time.Second, func() bool {
+		ok := true
+		for _, e := range edges {
+			srv.Do(func() { e.tcp.Do(func() { ok = ok && master.Converged(e.st) }) })
+		}
+		return ok
+	}) {
+		t.Fatal("no convergence")
+	}
+	// Let any echo a lost cursor update would cause arrive.
+	time.Sleep(20 * fastTCPConfig().Interval)
+	if ms := srv.Stats(); ms.ChangesRecv != ms.ChangesApplied {
+		t.Errorf("cloud received %d changes but applied %d: an edge echoed known changes back",
+			ms.ChangesRecv, ms.ChangesApplied)
+	}
+	for j, e := range edges {
+		if es := e.tcp.Stats(); es.ChangesRecv != es.ChangesApplied {
+			t.Errorf("edge %d received %d changes but applied %d: the cloud echoed known changes back",
+				j, es.ChangesRecv, es.ChangesApplied)
+		}
 	}
 }
