@@ -77,7 +77,7 @@ func benchAppend(dir string, policy durable.FsyncPolicy) (testing.BenchmarkResul
 		defer st.Close()
 		b.StartTimer()
 		for i := 0; i < b.N; i++ {
-			if err := st.Append("json", records[0]); err != nil {
+			if err := st.Append(map[string][]crdt.Change{"json": records[0]}); err != nil {
 				openErr = err
 				b.Skip(err)
 			}
@@ -98,7 +98,7 @@ func benchRecovery(dir string, n int) (recoveryBench, error) {
 		return recoveryBench{}, err
 	}
 	for _, rec := range records {
-		if err := st.Append("json", rec); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": rec}); err != nil {
 			st.Close()
 			return recoveryBench{}, err
 		}

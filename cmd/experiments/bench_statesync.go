@@ -99,7 +99,7 @@ func benchGroupCommit(dir string, writers, perWriter int) (groupCommitBench, err
 		go func(w int) {
 			defer wg.Done()
 			for _, r := range work[w] {
-				if err := st.Append("json", r.chs); err != nil {
+				if err := st.Append(map[string][]crdt.Change{"json": r.chs}); err != nil {
 					errs[w] = err
 					return
 				}

@@ -76,7 +76,10 @@ func (t *Table) tableObj(name string) (ObjID, error) {
 func (t *Table) TableNames() []string { return t.doc.MapKeys(t.tables) }
 
 // UpsertRow writes the given columns of row key in the named table,
-// creating the row as needed. Only the provided columns are touched.
+// creating the row as needed. Only the provided columns that change are
+// touched: a column already holding an equal value costs no op, so an
+// UPDATE of one cell ships one op and cannot overwrite a sibling
+// replica's concurrent edit of another column.
 func (t *Table) UpsertRow(table, key string, cols map[string]any) error {
 	tid, err := t.tableObj(table)
 	if err != nil {
@@ -97,6 +100,11 @@ func (t *Table) UpsertRow(table, key string, cols map[string]any) error {
 	}
 	sort.Strings(names)
 	for _, c := range names {
+		if cur, ok := t.doc.MapGet(rid, c); ok {
+			if val, err := Scalar(cols[c]); err == nil && cur.Equal(val) {
+				continue
+			}
+		}
 		if err := t.doc.PutScalar(rid, c, cols[c]); err != nil {
 			return fmt.Errorf("crdt: column %q: %w", c, err)
 		}

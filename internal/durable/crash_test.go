@@ -27,7 +27,7 @@ func populate(t *testing.T, dir string, n int) *crdt.Doc {
 			t.Fatal(err)
 		}
 		d.Commit("")
-		if err := st.Append("json", d.GetChanges(crdt.VersionVector{"a": uint64(i)})); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(crdt.VersionVector{"a": uint64(i)})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestRecoverTornFinalFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Commit("")
-		if err := st.Append("json", d.GetChanges(crdt.VersionVector{"a": 4})); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(crdt.VersionVector{"a": 4})}); err != nil {
 			t.Fatalf("cut=%d: append after torn recovery: %v", cut, err)
 		}
 		if err := st.Close(); err != nil {
@@ -182,7 +182,7 @@ func TestRecoverDropsSegmentsAfterTornFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Commit("")
-		if err := st.Append("json", d.GetChanges(crdt.VersionVector{"a": uint64(i)})); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(crdt.VersionVector{"a": uint64(i)})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Commit("")
-		if err := st.Append("json", d.GetChanges(crdt.VersionVector{"a": uint64(i)})); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(crdt.VersionVector{"a": uint64(i)})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	// Still appendable: a replica would now do a full resync from its
 	// peer and repopulate the log.
-	if err := st2.Append("json", d.GetChanges(nil)); err != nil {
+	if err := st2.Append(map[string][]crdt.Change{"json": d.GetChanges(nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st2.Close(); err != nil {
@@ -313,7 +313,7 @@ func TestRecoverCorruptSnapshotPrefersOlderSnapshot(t *testing.T) {
 		d.Commit("")
 	}
 	commit(1)
-	if err := st.Append("json", d.GetChanges(nil)); err != nil {
+	if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Snapshot(map[string][]crdt.Change{"json": d.GetChanges(nil)}); err != nil {
@@ -326,7 +326,7 @@ func TestRecoverCorruptSnapshotPrefersOlderSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(2)
-	if err := st.Append("json", d.GetChanges(crdt.VersionVector{"a": 1})); err != nil {
+	if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(crdt.VersionVector{"a": 1})}); err != nil {
 		t.Fatal(err)
 	}
 	// The k=2 frame lives in the segment at the first snapshot's
@@ -373,5 +373,76 @@ func TestRecoverCorruptSnapshotPrefersOlderSnapshot(t *testing.T) {
 	// Older snapshot (k=1) + replayed WAL tail (k=2) = current state.
 	if v, _ := d2.MapGet(crdt.RootObj, "k"); v.Num != 2 {
 		t.Fatalf("recovered value %v, want 2", v.Num)
+	}
+}
+
+// TestRecoverTornMultiComponentAppend tears the last of two
+// three-component appends at cuts across its frame and checks recovery
+// keeps the first append whole and drops the second whole: never some
+// of its components without the others.
+func TestRecoverTornMultiComponentAppend(t *testing.T) {
+	comps := []string{"files", "json", "tables"}
+	batch := func(round int) map[string][]crdt.Change {
+		out := map[string][]crdt.Change{}
+		for _, c := range comps {
+			out[c] = docChanges(t, crdt.ActorID(c), 2*round)[2*(round-1):]
+		}
+		return out
+	}
+	probe := t.TempDir()
+	st, err := Open(probe, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(batch(1)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.Stat(lastSegment(t, probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	_ = st.Close()
+	both, err := os.Stat(lastSegment(t, probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := both.Size() - first.Size()
+
+	for cut := int64(1); cut < frame; cut++ {
+		// Every cut that removes only the payload's last bytes or lands
+		// in the 8-byte header, and a sample of the cuts in between.
+		if cut > 8 && cut < frame-9 && cut%13 != 0 {
+			continue
+		}
+		dir := t.TempDir()
+		st, err := Open(dir, Options{Fsync: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= 2; round++ {
+			if err := st.Append(batch(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = st.Close()
+		truncateFile(t, lastSegment(t, dir), cut)
+
+		st, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		rec := st.Recovery()
+		if !rec.Torn {
+			t.Fatalf("cut=%d: torn tail not reported", cut)
+		}
+		for _, c := range comps {
+			if got := len(rec.Components[c]); got != 2 {
+				t.Fatalf("cut=%d: component %s recovered %d changes, want the first append's 2", cut, c, got)
+			}
+		}
+		_ = st.Close()
 	}
 }

@@ -49,7 +49,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, rec := range records[w] {
-				if err := st.Append("json", rec); err != nil {
+				if err := st.Append(map[string][]crdt.Change{"json": rec}); err != nil {
 					errs[w] = err
 					return
 				}
@@ -119,7 +119,7 @@ func TestGroupCommitCloseDuringAppends(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for _, rec := range records[w] {
-				if err := st.Append("json", rec); err != nil {
+				if err := st.Append(map[string][]crdt.Change{"json": rec}); err != nil {
 					return // store closed underneath us — acceptable
 				}
 			}
@@ -164,7 +164,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 				idx++
 				mu.Unlock()
 				for pb.Next() {
-					if err := st.Append("json", rec); err != nil {
+					if err := st.Append(map[string][]crdt.Change{"json": rec}); err != nil {
 						b.Error(err)
 						return
 					}

@@ -1,23 +1,16 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/crdt"
 )
 
 // A snapshot file holds the full change history of every component at
-// compaction time, as a single CRC-framed payload:
-//
-//	frame(payload)
-//	payload := uvarint(ncomponents)
-//	           (uvarint(len(name)) name uvarint(len(enc)) enc)*
-//	enc     := crdt.EncodeChangesBinary(history)   — carries the format
-//	           version byte, pinning the layout
+// compaction time, as a single CRC-framed payload in the WAL record
+// encoding (see appendComponents).
 //
 // The file name snap-<seq>.snap records the first WAL segment NOT
 // covered by the snapshot: recovery loads the snapshot, then replays
@@ -25,69 +18,10 @@ import (
 // temp file + rename, so a crash mid-snapshot leaves the previous
 // snapshot (or none) intact, never a half-written one that parses.
 
-func encodeSnapshot(components map[string][]crdt.Change) []byte {
-	names := make([]string, 0, len(components))
-	for name := range components {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	buf := binary.AppendUvarint(nil, uint64(len(names)))
-	for _, name := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		enc := crdt.EncodeChangesBinary(components[name])
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		buf = append(buf, enc...)
-	}
-	return buf
-}
-
-func decodeSnapshot(payload []byte) (map[string][]crdt.Change, error) {
-	take := func(b []byte) (uint64, []byte, error) {
-		n, used := binary.Uvarint(b)
-		if used <= 0 {
-			return 0, nil, fmt.Errorf("%w: bad snapshot varint", errBadFrame)
-		}
-		return n, b[used:], nil
-	}
-	ncomp, rest, err := take(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]crdt.Change, ncomp)
-	for i := uint64(0); i < ncomp; i++ {
-		var n uint64
-		if n, rest, err = take(rest); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: snapshot name overruns payload", errBadFrame)
-		}
-		name := string(rest[:n])
-		rest = rest[n:]
-		if n, rest, err = take(rest); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: snapshot component overruns payload", errBadFrame)
-		}
-		chs, err := crdt.DecodeChangesBinary(rest[:n])
-		if err != nil {
-			return nil, fmt.Errorf("%w: component %q: %v", errBadFrame, name, err)
-		}
-		out[name] = chs
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", errBadFrame, len(rest))
-	}
-	return out, nil
-}
-
 // writeSnapshotFile atomically writes the snapshot covering everything
 // before WAL segment seq.
 func writeSnapshotFile(dir string, seq uint64, components map[string][]crdt.Change) error {
-	frame := appendFrame(nil, encodeSnapshot(components))
+	frame := appendFrame(nil, appendComponents(nil, components))
 	tmp := filepath.Join(dir, snapName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -123,5 +57,5 @@ func loadSnapshotFile(path string) (map[string][]crdt.Change, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %s: %w", filepath.Base(path), err)
 	}
-	return decodeSnapshot(payload)
+	return decodeComponents(payload)
 }

@@ -347,37 +347,44 @@ func (s *Store) replaySegment(path string, rec *Recovery) (valid int64, frames i
 			}
 			return valid, frames, false, rerr
 		}
-		component, chs, derr := decodeRecord(payload)
+		components, derr := decodeComponents(payload)
 		if derr != nil {
 			// The frame checksummed but does not decode — treat as
 			// corruption and stop, same as a torn frame.
 			return valid, frames, true, nil
 		}
-		rec.Components[component] = append(rec.Components[component], chs...)
+		for name, chs := range components {
+			rec.Components[name] = append(rec.Components[name], chs...)
+		}
 		valid += int64(8 + len(payload))
 		frames++
 	}
 }
 
-// Append persists one batch of changes for the named component. Under
+// Append persists one batch of changes for every named component as a
+// single record: recovery yields either all of it or none of it. Under
 // FsyncAlways the batch is on stable storage when Append returns —
 // this is what persist-before-ack in the sync runtime relies on.
 //
 // Concurrent Appends on the same store form commit batches that share a
 // single write and fsync (see the Store doc comment); the call still
 // blocks until this record's round is durable per the fsync policy.
-func (s *Store) Append(component string, chs []crdt.Change) error {
-	if len(chs) == 0 {
+func (s *Store) Append(components map[string][]crdt.Change) error {
+	changes := 0
+	for _, chs := range components {
+		changes += len(chs)
+	}
+	if changes == 0 {
 		return nil
 	}
 	// Encode outside the lock into a pooled buffer: framing copies the
 	// payload into the shared queue, so the buffer is recycled
 	// immediately.
 	ebuf := crdt.GetEncodeBuffer()
-	if hint := crdt.ChangesSizeHint(chs) + 16 + len(component); cap(ebuf.B) < hint {
+	if hint := componentsSizeHint(components); cap(ebuf.B) < hint {
 		ebuf.B = make([]byte, 0, hint)
 	}
-	ebuf.B = encodeRecordInto(ebuf.B[:0], component, chs)
+	ebuf.B = appendComponents(ebuf.B[:0], components)
 
 	s.mu.Lock()
 	if s.closed {

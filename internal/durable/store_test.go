@@ -48,13 +48,13 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 				t.Fatal("fresh dir should recover empty")
 			}
 			chs := docChanges(t, "a", 10)
-			if err := st.Append("json", chs[:5]); err != nil {
+			if err := st.Append(map[string][]crdt.Change{"json": chs[:5]}); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Append("json", chs[5:]); err != nil {
+			if err := st.Append(map[string][]crdt.Change{"json": chs[5:]}); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Append("tables", docChanges(t, "b", 3)); err != nil {
+			if err := st.Append(map[string][]crdt.Change{"tables": docChanges(t, "b", 3)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.Close(); err != nil {
@@ -96,7 +96,7 @@ func TestSegmentRotationAndRecoveryAcrossSegments(t *testing.T) {
 	}
 	chs := docChanges(t, "a", 40)
 	for _, ch := range chs {
-		if err := st.Append("json", []crdt.Change{ch}); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": []crdt.Change{ch}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		}
 		d.Commit("")
 	}
-	if err := st.Append("json", d.GetChanges(nil)); err != nil {
+	if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(nil)}); err != nil {
 		t.Fatal(err)
 	}
 	// Compact: full history becomes the snapshot; covered segments go.
@@ -159,7 +159,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	d.Commit("")
 	tail := d.GetChanges(crdt.VersionVector{"a": 30})
-	if err := st.Append("json", tail); err != nil {
+	if err := st.Append(map[string][]crdt.Change{"json": tail}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -199,7 +199,7 @@ func TestRepeatedSnapshotsKeepOnlyLatest(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Commit("")
-		if err := st.Append("json", d.GetChanges(crdt.VersionVector{"a": uint64(i)})); err != nil {
+		if err := st.Append(map[string][]crdt.Change{"json": d.GetChanges(crdt.VersionVector{"a": uint64(i)})}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Snapshot(map[string][]crdt.Change{"json": d.GetChanges(nil)}); err != nil {
@@ -234,7 +234,7 @@ func TestStoreMetricsAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append("json", docChanges(t, "a", 2)); err != nil {
+	if err := st.Append(map[string][]crdt.Change{"json": docChanges(t, "a", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if c := o.Counter("durable.wal.appends").Value(); c != 1 {
@@ -279,7 +279,7 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
 	}
-	if err := st.Append("json", docChanges(t, "a", 1)); err == nil {
+	if err := st.Append(map[string][]crdt.Change{"json": docChanges(t, "a", 1)}); err == nil {
 		t.Fatal("append after close should fail")
 	}
 }
@@ -304,7 +304,7 @@ func TestEmptyAppendIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = st.Close() }()
-	if err := st.Append("json", nil); err != nil {
+	if err := st.Append(map[string][]crdt.Change{"json": nil}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Stats().Appends != 0 {

@@ -135,35 +135,89 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// A WAL record is one persisted batch of changes for one component:
+// A WAL record and a snapshot payload share one encoding: a batch of
+// changes for every component, so one Append is atomic across
+// components — a torn frame loses the whole batch, never a part of it.
 //
-//	uvarint(len(component)) component EncodeChangesBinary(changes)
+//	record := uvarint(ncomponents)
+//	          (uvarint(len(name)) name uvarint(len(enc)) enc)*
+//	enc    := crdt.EncodeChangesBinary(changes) — carries the format
+//	          version byte, pinning the layout
 //
-// The change encoding carries its own format-version byte (see
-// crdt.BinaryFormatVersion), so the record format is pinned with it.
-func encodeRecord(component string, chs []crdt.Change) []byte {
-	return encodeRecordInto(nil, component, chs)
-}
+// Components appear in name order.
 
-// encodeRecordInto is the zero-copy variant: it appends the record to
-// dst, letting the append hot path encode into a pooled buffer.
-func encodeRecordInto(dst []byte, component string, chs []crdt.Change) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(component)))
-	dst = append(dst, component...)
-	return crdt.EncodeChangesInto(dst, chs)
-}
-
-func decodeRecord(payload []byte) (string, []crdt.Change, error) {
-	n, used := binary.Uvarint(payload)
-	if used <= 0 || n > uint64(len(payload)-used) {
-		return "", nil, fmt.Errorf("%w: bad record component length", errBadFrame)
+// appendComponents appends the encoding of components to dst, letting
+// the append hot path encode into a pooled buffer.
+func appendComponents(dst []byte, components map[string][]crdt.Change) []byte {
+	names := make([]string, 0, len(components))
+	for name := range components {
+		names = append(names, name)
 	}
-	component := string(payload[used : used+int(n)])
-	chs, err := crdt.DecodeChangesBinary(payload[used+int(n):])
+	sort.Strings(names)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		// Encode past room for the longest length prefix, then slide the
+		// encoding down to sit right after its actual prefix.
+		at := len(dst)
+		dst = crdt.EncodeChangesInto(append(dst, make([]byte, binary.MaxVarintLen64)...), components[name])
+		enc := dst[at+binary.MaxVarintLen64:]
+		n := len(binary.AppendUvarint(dst[:at], uint64(len(enc))))
+		dst = dst[:n+copy(dst[n:], enc)]
+	}
+	return dst
+}
+
+// componentsSizeHint bounds appendComponents' output size.
+func componentsSizeHint(components map[string][]crdt.Change) int {
+	n := binary.MaxVarintLen64
+	for name, chs := range components {
+		n += 2*binary.MaxVarintLen64 + len(name) + crdt.ChangesSizeHint(chs)
+	}
+	return n
+}
+
+func decodeComponents(payload []byte) (map[string][]crdt.Change, error) {
+	take := func(b []byte) (uint64, []byte, error) {
+		n, used := binary.Uvarint(b)
+		if used <= 0 {
+			return 0, nil, fmt.Errorf("%w: bad record varint", errBadFrame)
+		}
+		return n, b[used:], nil
+	}
+	ncomp, rest, err := take(payload)
 	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", errBadFrame, err)
+		return nil, err
 	}
-	return component, chs, nil
+	out := make(map[string][]crdt.Change, ncomp)
+	for i := uint64(0); i < ncomp; i++ {
+		var n uint64
+		if n, rest, err = take(rest); err != nil {
+			return nil, err
+		}
+		if n > uint64(len(rest)) {
+			return nil, fmt.Errorf("%w: component name overruns record", errBadFrame)
+		}
+		name := string(rest[:n])
+		rest = rest[n:]
+		if n, rest, err = take(rest); err != nil {
+			return nil, err
+		}
+		if n > uint64(len(rest)) {
+			return nil, fmt.Errorf("%w: component %q overruns record", errBadFrame, name)
+		}
+		chs, err := crdt.DecodeChangesBinary(rest[:n])
+		if err != nil {
+			return nil, fmt.Errorf("%w: component %q: %v", errBadFrame, name, err)
+		}
+		out[name] = chs
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing record bytes", errBadFrame, len(rest))
+	}
+	return out, nil
 }
 
 // wal owns the active segment file. All methods run under the owning

@@ -58,9 +58,11 @@ func (p *Persister) Heads() Heads {
 }
 
 // Sync appends every change in state beyond the persisted watermark to
-// the WAL and advances the watermark. Under fsync policy "always" the
-// changes are on stable storage when Sync returns — callers ack only
-// after it does.
+// the WAL as one record and advances the watermark. Under fsync policy
+// "always" the changes are on stable storage when Sync returns —
+// callers ack only after it does. One record per Sync keeps a
+// multi-component delta atomic: a torn tail loses all of it, never the
+// files container while keeping the json one.
 func (p *Persister) Sync(state *ReplicaState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -68,13 +70,8 @@ func (p *Persister) Sync(state *ReplicaState) error {
 	if delta.Empty() {
 		return nil
 	}
-	for _, comp := range []string{CompJSON, CompTables, CompFiles} {
-		if len(delta[comp]) == 0 {
-			continue
-		}
-		if err := p.store.Append(comp, delta[comp]); err != nil {
-			return fmt.Errorf("statesync: persist %s: %w", comp, err)
-		}
+	if err := p.store.Append(delta); err != nil {
+		return fmt.Errorf("statesync: persist: %w", err)
 	}
 	p.watermark = advanceHeads(p.watermark, delta)
 	p.pending += delta.Changes()

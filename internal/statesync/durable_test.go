@@ -211,6 +211,47 @@ func TestTCPKillRestartResync(t *testing.T) {
 	}
 }
 
+// TestTCPFreshDurableEdgeReceivesNothingKnown: a durable edge forked
+// from the master but not yet synced to disk persists before it
+// declares its heads, so the master does not reship the fork-point
+// history the edge already holds.
+func TestTCPFreshDurableEdgeReceivesNothingKnown(t *testing.T) {
+	master := newState(t, "cloud")
+	if err := master.JSON.PutScalar("root", "k", 1); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeMasterConfig("127.0.0.1:0", &Endpoint{Name: "cloud", State: master}, fastTCPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	st, err := master.Fork("edge1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, _ := durableEdge(t, "edge1", st, t.TempDir())
+	edge, err := DialEdgeConfig(srv.Addr(), ep, fastTCPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Do(func() {
+		if err := master.JSON.PutScalar("root", "k", 2); err != nil {
+			t.Error(err)
+		}
+	})
+	if !waitFor(t, 5*time.Second, func() bool {
+		ok := false
+		srv.Do(func() { edge.Do(func() { ok = master.Converged(st) }) })
+		return ok
+	}) {
+		t.Fatal("no convergence")
+	}
+	_ = edge.Close()
+	if es := edge.Stats(); es.ChangesRecv != 1 || es.ChangesApplied != 1 {
+		t.Fatalf("edge received %d changes and applied %d, want only the new one", es.ChangesRecv, es.ChangesApplied)
+	}
+}
+
 // tearLastSegment truncates n bytes off the newest non-empty WAL
 // segment in dir — the on-disk signature of a write torn by a crash.
 func tearLastSegment(t *testing.T, dir string, n int64) {

@@ -3,7 +3,6 @@ package statesync
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/crdt"
@@ -51,9 +50,7 @@ type Fabric struct {
 	stats   FabricStats
 	onError func(error)
 
-	runMu   sync.Mutex
-	running bool
-	runGen  uint64
+	ticks tickLoop
 }
 
 // FabricStats aggregates fabric traffic. Master*Bytes cover the
@@ -90,29 +87,11 @@ type RebalanceEvent struct {
 	Moves []shard.Move  `json:"moves"`
 }
 
-// storeSync is the cursor state for one (connection, store) pair. "hi"
-// is the endpoint nearer the master (master on uplinks, relay on edge
-// links); "lo" the farther one.
-type storeSync struct {
-	// ackedUp is lo's state acknowledged by hi — the up-direction send
-	// cursor. ackedDown is hi's state acknowledged by lo.
-	ackedUp, ackedDown Heads
-	// inflightUp/inflightDown hold each direction's window-of-1: a new
-	// delta is not cut while the previous one is still in flight, which
-	// (with cursor merging on delivery) keeps the fabric duplicate-free.
-	inflightUp, inflightDown int
-	// Idle test, as in Manager: versions unchanged since a clean scan
-	// with nothing in flight means provably nothing to do.
-	lastHiVer, lastLoVer uint64
-	clean                bool
-	valid                bool
-}
-
 type fabricEdge struct {
 	name      string
 	link      *netem.Duplex // Up: edge->relay, Down: relay->edge
 	stores    map[string]*Endpoint
-	sync      map[string]*storeSync
+	sync      map[string]*pairSync
 	suspended bool
 	// auto marks edges provisioned by the fabric itself (replicas forked
 	// from the relay on acquire). Endpoint-attached edges are not auto:
@@ -124,7 +103,7 @@ type fabricGroup struct {
 	name   string
 	uplink *netem.Duplex // Up: relay->master, Down: master->relay
 	relay  map[string]*Endpoint
-	sync   map[string]*storeSync // master<->relay cursors
+	sync   map[string]*pairSync // master<->relay cursors
 	edges  []*fabricEdge
 	// owned marks stores this group currently serves; draining marks
 	// stores rebalanced away whose unshipped local changes are still
@@ -258,7 +237,7 @@ func (f *Fabric) AddGroup(name string, uplink *netem.Duplex) error {
 		name:     name,
 		uplink:   uplink,
 		relay:    map[string]*Endpoint{},
-		sync:     map[string]*storeSync{},
+		sync:     map[string]*pairSync{},
 		owned:    map[string]bool{},
 		draining: map[string]bool{},
 	}
@@ -344,7 +323,7 @@ func (f *Fabric) newEdge(group, name string, link *netem.Duplex) (*fabricEdge, e
 		name:   name,
 		link:   link,
 		stores: map[string]*Endpoint{},
-		sync:   map[string]*storeSync{},
+		sync:   map[string]*pairSync{},
 	}
 	g.edges = append(g.edges, e)
 	return e, nil
@@ -440,19 +419,16 @@ func (f *Fabric) provisionEdge(g *fabricGroup, e *fabricEdge, s string) error {
 	return nil
 }
 
-// handshake (re)initializes a pair's cursors at the intersection of the
-// two endpoints' declared knowledge — their persister watermarks when
-// durable — and forces a rescan. This is the same durable re-handshake
-// discipline as Manager.AddEdge/ResumeEdge.
-func (f *Fabric) handshake(syncs map[string]*storeSync, s string, hi, lo *Endpoint) {
-	ss := syncs[s]
-	if ss == nil {
-		ss = &storeSync{}
-		syncs[s] = ss
+// handshake (re)initializes store s's pair between hi and lo, creating
+// it on first contact — the same durable re-handshake discipline as
+// Manager.AddEdge/ResumeEdge.
+func (f *Fabric) handshake(syncs map[string]*pairSync, s string, hi, lo *Endpoint) {
+	p := syncs[s]
+	if p == nil {
+		p = &pairSync{}
+		syncs[s] = p
 	}
-	ss.ackedUp = intersectHeads(lo.declaredHeads(), hi.declaredHeads())
-	ss.ackedDown = intersectHeads(hi.declaredHeads(), lo.declaredHeads())
-	ss.valid = false
+	p.handshake(hi, lo)
 }
 
 // Rebalance recomputes the shard map from the current ring membership
@@ -564,38 +540,10 @@ func (f *Fabric) findEdge(group, edge string) (*fabricEdge, error) {
 
 // Start schedules periodic rounds until Stop (same single consolidated
 // tick discipline as Manager: one clock timer for the whole fabric).
-func (f *Fabric) Start() {
-	f.runMu.Lock()
-	if f.running {
-		f.runMu.Unlock()
-		return
-	}
-	f.running = true
-	f.runGen++
-	gen := f.runGen
-	f.runMu.Unlock()
-	f.scheduleTick(gen)
-}
+func (f *Fabric) Start() { f.ticks.start(f.clock, f.interval, f.SyncRound) }
 
 // Stop halts future rounds; in-flight messages still deliver.
-func (f *Fabric) Stop() {
-	f.runMu.Lock()
-	f.running = false
-	f.runMu.Unlock()
-}
-
-func (f *Fabric) scheduleTick(gen uint64) {
-	f.clock.After(f.interval, func() {
-		f.runMu.Lock()
-		live := f.running && f.runGen == gen
-		f.runMu.Unlock()
-		if !live {
-			return
-		}
-		f.SyncRound()
-		f.scheduleTick(gen)
-	})
-}
+func (f *Fabric) Stop() { f.ticks.stop() }
 
 // SyncRound performs one exchange across the whole fabric: for every
 // owned (or draining) store of every group, master<->relay over the
@@ -636,79 +584,33 @@ func (f *Fabric) SyncRound() {
 // syncPair exchanges one store between hi (nearer the master) and lo.
 // In drain mode only the up direction runs. wan marks the master<->relay
 // tier for byte attribution.
-func (f *Fabric) syncPair(hi, lo *Endpoint, ss *storeSync, link *netem.Duplex, drain bool, g *fabricGroup, wan bool) {
-	if ss.valid && ss.clean && ss.inflightUp == 0 && ss.inflightDown == 0 &&
-		hi.State.Version() == ss.lastHiVer && lo.State.Version() == ss.lastLoVer {
-		f.stats.PairsSkipped++
-		return
-	}
-	f.stats.PairsScanned++
-	if err := lo.refresh(); err != nil {
-		f.fail(err)
-	}
-	upEmpty := f.ship(link.Up, lo, hi, &ss.ackedUp, &ss.ackedDown, &ss.inflightUp, func(n int) {
-		if wan {
+func (f *Fabric) syncPair(hi, lo *Endpoint, p *pairSync, link *netem.Duplex, drain bool, g *fabricGroup, wan bool) {
+	scanned := p.step(f.clock, hi, lo, link, drain, f, func(up bool, n int) {
+		switch {
+		case wan && up:
 			f.stats.MasterIngressBytes += int64(n)
-		} else {
+		case wan:
+			f.stats.MasterEgressBytes += int64(n)
+		case up:
 			f.stats.RelayUpBytes += int64(n)
+		default:
+			f.stats.RelayFanoutBytes += int64(n)
 		}
 		g.bytes += int64(n)
+		f.stats.Messages++
 	})
-	downEmpty := true
-	if !drain {
-		downEmpty = f.ship(link.Down, hi, lo, &ss.ackedDown, &ss.ackedUp, &ss.inflightDown, func(n int) {
-			if wan {
-				f.stats.MasterEgressBytes += int64(n)
-			} else {
-				f.stats.RelayFanoutBytes += int64(n)
-			}
-			g.bytes += int64(n)
-		})
+	if scanned {
+		f.stats.PairsScanned++
+	} else {
+		f.stats.PairsSkipped++
 	}
-	ss.clean = upEmpty && downEmpty
-	ss.lastHiVer, ss.lastLoVer = hi.State.Version(), lo.State.Version()
-	ss.valid = true
 }
 
-// ship cuts a delta of src's changes beyond cursor and sends it to dst,
-// honoring a window of one in-flight delta per direction. On delivery
-// the cursor merges up to the heads at send, and the reverse cursor
-// advances past the delivered operations so dst never echoes them back
-// — together with the window this makes the fabric duplicate-free.
-// Returns true when there was nothing to send.
-func (f *Fabric) ship(link *netem.Link, src, dst *Endpoint,
-	cursor, reverse *Heads, inflight *int, record func(int)) bool {
-	if *inflight > 0 {
-		return false
-	}
-	delta := src.State.Delta(*cursor)
-	if delta.Empty() {
-		return true
-	}
-	payload, err := EncodeDelta(delta)
-	if err != nil {
-		f.fail(err)
-		return false
-	}
-	headsAtSend := src.State.Heads()
-	record(len(payload))
-	f.stats.Messages++
-	at := link.Send(len(payload), func() {
-		applied, aerr := dst.applyCount(delta)
-		f.stats.AppliedChanges += int64(applied)
-		f.stats.DuplicateApplies += int64(delta.Changes() - applied)
-		if aerr != nil {
-			f.fail(aerr)
-			return
-		}
-		*cursor = mergeHeads(*cursor, headsAtSend)
-		*reverse = advanceHeads(*reverse, delta)
-	})
-	// As in Manager: the decrement fires at delivery (or drop) time,
-	// after the delivery callback in FIFO order.
-	*inflight++
-	f.clock.At(at, func() { *inflight-- })
-	return false
+// delivered counts integrated and duplicate changes: the cursor
+// protocol should never reship an operation the receiver holds.
+func (f *Fabric) delivered(changes, applied int, _ error) {
+	f.stats.AppliedChanges += int64(applied)
+	f.stats.DuplicateApplies += int64(changes - applied)
 }
 
 // drained reports whether a draining store has fully flowed up: nothing

@@ -2,7 +2,6 @@ package statesync
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/crdt"
@@ -38,17 +37,12 @@ func (e *Endpoint) declaredHeads() Heads {
 	return e.State.Heads()
 }
 
-// apply integrates an inbound delta, through the binding when present.
-func (e *Endpoint) apply(d Delta) error {
-	_, err := e.applyCount(d)
-	return err
-}
-
-// applyCount is apply reporting how many changes were actually
-// integrated — the TCP transport uses it to account duplicates. The
-// delta is persisted before applyCount returns (persist-before-ack):
-// the transport acknowledges only after this, so the peer never
-// advances past state the replica could lose in a crash.
+// applyCount integrates an inbound delta, through the binding when
+// present, reporting how many changes were actually integrated — the
+// runtimes use it to account duplicates. The delta is persisted before
+// applyCount returns (persist-before-ack): the transport acknowledges
+// only after this, so the peer never advances past state the replica
+// could lose in a crash.
 func (e *Endpoint) applyCount(d Delta) (int, error) {
 	n, err := func() (int, error) {
 		if e.Binding != nil {
@@ -83,33 +77,16 @@ func (e *Endpoint) refresh() error {
 	return nil
 }
 
-// conn is the bidirectional channel between the master and one edge.
+// conn is the bidirectional channel between the master (hi) and one
+// edge (lo): the pair protocol plus the WAN link carrying edge_state
+// messages up and cloud_state messages down.
 type conn struct {
 	edge *Endpoint
-	// link carries edge_state messages up and cloud_state messages down.
 	link *netem.Duplex
-	// ackedByMaster is the edge state the master has confirmed applying;
-	// ackedByEdge is the master state the edge has confirmed.
-	ackedByMaster Heads
-	ackedByEdge   Heads
+	pair pairSync
 	// suspended parks the connection: the elasticity controller stops
 	// synchronizing a powered-down replica, and Resume re-handshakes it.
 	suspended bool
-	// inflight counts deltas sent but not yet delivered (or dropped).
-	// While nonzero the connection cannot be idle-skipped: an ack will
-	// move the cursors.
-	inflight int
-	// lastEdgeVer/lastMasterVer cache the replica mutation counters
-	// observed at the last scan; clean records that the scan found both
-	// deltas empty. When the versions have not moved since a clean scan
-	// and nothing is in flight, the connection is provably quiescent and
-	// the round skips it without touching change history — this is what
-	// makes a mostly-idle fleet cost O(active edges), not O(edges), per
-	// tick. A lossy or downed link leaves clean false (the delta was
-	// sent but never acknowledged), so retries keep flowing.
-	lastEdgeVer, lastMasterVer uint64
-	clean                      bool
-	versValid                  bool
 }
 
 // Stats aggregates synchronization traffic. The deployment facade
@@ -166,21 +143,9 @@ type Manager struct {
 	conns    []*conn
 	interval time.Duration
 	stats    Stats
-	// runMu guards running and runGen. The clock itself is still
-	// single-threaded (see simclock): scheduling and SyncRound stay on
-	// the simulation goroutine, but Stop may be called from another
-	// goroutine (e.g. a controller reacting to an error), so the
-	// run-state flag needs its own lock.
-	runMu   sync.Mutex
-	running bool
-	// runGen distinguishes tick chains. Each Start bumps it, and a
-	// pending tick only reschedules when its generation is still
-	// current — otherwise a Stop immediately followed by a Start would
-	// leave the old chain's pending tick alive, and when it fired it
-	// would see running==true and reschedule, doubling the sync rate.
-	runGen  uint64
-	onError func(error)
-	obs     obsCounters
+	ticks    tickLoop
+	onError  func(error)
+	obs      obsCounters
 }
 
 // NewManager returns a manager for the given cloud master endpoint.
@@ -212,14 +177,9 @@ func (m *Manager) AddEdge(edge *Endpoint, link *netem.Duplex) error {
 	if link == nil {
 		return fmt.Errorf("statesync: nil link")
 	}
-	// A freshly forked edge and the master share the fork-point history,
-	// so synchronization starts there, not from scratch. A recovered
-	// edge may hold changes the master never saw (or vice versa): the
-	// intersection of both sides' declared knowledge is exactly what
-	// both provably share, and everything beyond it flows in the first
-	// rounds.
-	start := intersectHeads(edge.declaredHeads(), m.master.declaredHeads())
-	m.conns = append(m.conns, &conn{edge: edge, link: link, ackedByMaster: start, ackedByEdge: start})
+	c := &conn{edge: edge, link: link}
+	c.pair.handshake(m.master, edge)
+	m.conns = append(m.conns, c)
 	return nil
 }
 
@@ -232,70 +192,52 @@ func (m *Manager) ResetStats() { m.stats = Stats{} }
 // Start schedules the periodic synchronization. It keeps rescheduling
 // itself until Stop. Start must run on the simulation goroutine (it
 // schedules on the clock); a second Start while running is a no-op.
-func (m *Manager) Start() {
-	m.runMu.Lock()
-	if m.running {
-		m.runMu.Unlock()
-		return
-	}
-	m.running = true
-	m.runGen++
-	gen := m.runGen
-	m.runMu.Unlock()
-	m.scheduleTick(gen)
-}
+func (m *Manager) Start() { m.ticks.start(m.clock, m.interval, m.SyncRound) }
 
 // Stop halts future rounds (in-flight messages still deliver). Unlike
 // Start, Stop is safe to call from any goroutine.
-func (m *Manager) Stop() {
-	m.runMu.Lock()
-	m.running = false
-	m.runMu.Unlock()
-}
-
-func (m *Manager) scheduleTick(gen uint64) {
-	m.clock.After(m.interval, func() {
-		m.runMu.Lock()
-		live := m.running && m.runGen == gen
-		m.runMu.Unlock()
-		if !live {
-			return
-		}
-		m.SyncRound()
-		m.scheduleTick(gen)
-	})
-}
+func (m *Manager) Stop() { m.ticks.stop() }
 
 // SyncRound performs one bidirectional exchange for every edge that may
 // have diverged. Every connection shares the manager's single clock
-// timer (one consolidated tick, not O(edges) timers), and a connection
-// whose replica versions have not moved since its last scan — with
-// nothing in flight — is skipped on one integer compare, so a
+// timer (one consolidated tick, not O(edges) timers), and the pair's
+// idle test skips a quiescent connection on one integer compare, so a
 // mostly-idle fleet pays per round only for its active edges.
 func (m *Manager) SyncRound() {
 	if err := m.master.refresh(); err != nil {
 		m.fail(err)
 	}
-	masterVer := m.master.State.Version()
+	sent := m.sent
 	for _, c := range m.conns {
 		if c.suspended {
 			continue
 		}
-		if c.versValid && c.clean && c.inflight == 0 &&
-			c.edge.State.Version() == c.lastEdgeVer && masterVer == c.lastMasterVer {
+		if c.pair.step(m.clock, m.master, c.edge, c.link, false, m, sent) {
+			m.stats.EdgesScanned++
+		} else {
 			m.stats.EdgesSkipped++
-			continue
 		}
-		m.stats.EdgesScanned++
-		if err := c.edge.refresh(); err != nil {
-			m.fail(err)
-		}
-		upEmpty := m.sendEdgeState(c)
-		downEmpty := m.sendCloudState(c)
-		c.clean = upEmpty && downEmpty
-		c.lastEdgeVer = c.edge.State.Version()
-		c.lastMasterVer = masterVer
-		c.versValid = true
+	}
+}
+
+// sent counts one shipped delta: edge_state going up, cloud_state down.
+func (m *Manager) sent(up bool, n int) {
+	if up {
+		m.stats.EdgeStateBytes += int64(n)
+		m.obs.edgeBytes.Add(int64(n))
+	} else {
+		m.stats.CloudStateBytes += int64(n)
+		m.obs.cloudBytes.Add(int64(n))
+	}
+	m.stats.Messages++
+	m.obs.messages.Add(1)
+}
+
+// delivered counts a delta applied remotely as a completed round trip.
+func (m *Manager) delivered(_, _ int, err error) {
+	if err == nil {
+		m.stats.AckRoundTrips++
+		m.obs.acks.Add(1)
 	}
 }
 
@@ -333,75 +275,8 @@ func (m *Manager) ResumeEdge(name string) error {
 		return fmt.Errorf("statesync: no edge %q", name)
 	}
 	c.suspended = false
-	start := intersectHeads(c.edge.declaredHeads(), m.master.declaredHeads())
-	c.ackedByMaster, c.ackedByEdge = start, start
-	c.versValid = false
+	c.pair.handshake(m.master, c.edge)
 	return nil
-}
-
-// sendEdgeState ships the edge's unacknowledged changes to the master,
-// reporting whether there was nothing to send.
-func (m *Manager) sendEdgeState(c *conn) bool {
-	delta := c.edge.State.Delta(c.ackedByMaster)
-	if delta.Empty() {
-		return true
-	}
-	payload, err := EncodeDelta(delta)
-	if err != nil {
-		m.fail(err)
-		return false
-	}
-	headsAtSend := c.edge.State.Heads()
-	m.stats.EdgeStateBytes += int64(len(payload))
-	m.stats.Messages++
-	m.obs.edgeBytes.Add(int64(len(payload)))
-	m.obs.messages.Add(1)
-	at := c.link.Up.Send(len(payload), func() {
-		if err := m.master.apply(delta); err != nil {
-			m.fail(err)
-			return
-		}
-		c.ackedByMaster = headsAtSend
-		m.stats.AckRoundTrips++
-		m.obs.acks.Add(1)
-	})
-	// The in-flight count drops when the message delivers or is dropped:
-	// the decrement is scheduled at the same instant as delivery, after
-	// it in FIFO order, so the idle test never hides an undelivered ack.
-	c.inflight++
-	m.clock.At(at, func() { c.inflight-- })
-	return false
-}
-
-// sendCloudState ships the master's unacknowledged changes to the edge,
-// reporting whether there was nothing to send.
-func (m *Manager) sendCloudState(c *conn) bool {
-	delta := m.master.State.Delta(c.ackedByEdge)
-	if delta.Empty() {
-		return true
-	}
-	payload, err := EncodeDelta(delta)
-	if err != nil {
-		m.fail(err)
-		return false
-	}
-	headsAtSend := m.master.State.Heads()
-	m.stats.CloudStateBytes += int64(len(payload))
-	m.stats.Messages++
-	m.obs.cloudBytes.Add(int64(len(payload)))
-	m.obs.messages.Add(1)
-	at := c.link.Down.Send(len(payload), func() {
-		if err := c.edge.apply(delta); err != nil {
-			m.fail(err)
-			return
-		}
-		c.ackedByEdge = headsAtSend
-		m.stats.AckRoundTrips++
-		m.obs.acks.Add(1)
-	})
-	c.inflight++
-	m.clock.At(at, func() { c.inflight-- })
-	return false
 }
 
 func (m *Manager) fail(err error) {
@@ -438,13 +313,13 @@ func (m *Manager) CompactAcknowledged() int {
 	if len(m.conns) == 0 {
 		return 0
 	}
-	inter := m.conns[0].ackedByEdge
+	inter := m.conns[0].pair.ackedDown
 	for _, c := range m.conns[1:] {
-		inter = intersectHeads(inter, c.ackedByEdge)
+		inter = intersectHeads(inter, c.pair.ackedDown)
 	}
 	dropped := m.master.State.Compact(inter)
 	for _, c := range m.conns {
-		dropped += c.edge.State.Compact(c.ackedByMaster)
+		dropped += c.edge.State.Compact(c.pair.ackedUp)
 	}
 	return dropped
 }

@@ -344,6 +344,61 @@ func TestManagerQuiescentSendsNothing(t *testing.T) {
 	}
 }
 
+// TestManagerNoEcho pins the pair protocol's reverse-cursor rule under
+// Manager: a change that crossed the link in one direction is never
+// shipped back to the replica that made it.
+func TestManagerNoEcho(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		edgeSide bool // which replica writes
+	}{{"edge-writes", true}, {"cloud-writes", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := simclock.New()
+			master := newState(t, "cloud")
+			mgr, err := NewManager(clock, &Endpoint{Name: "cloud", State: master}, 100*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge, err := master.Fork("edge")
+			if err != nil {
+				t.Fatal(err)
+			}
+			link, err := netem.NewDuplex(clock, netem.LimitedWAN(500, 100), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.AddEdge(&Endpoint{Name: "e", State: edge}, link); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Start()
+			writer := master
+			if tc.edgeSide {
+				writer = edge
+			}
+			if err := writer.JSON.PutScalar("root", "v", 1); err != nil {
+				t.Fatal(err)
+			}
+			clock.RunUntil(5 * time.Second)
+			mgr.Stop()
+			clock.Run()
+			if !mgr.Converged() {
+				t.Fatal("replicas did not converge")
+			}
+			st := mgr.Stats()
+			shipped, echoed := st.EdgeStateBytes, st.CloudStateBytes
+			if !tc.edgeSide {
+				shipped, echoed = echoed, shipped
+			}
+			if shipped == 0 || echoed != 0 {
+				t.Fatalf("shipped %d bytes, echoed %d back: %+v", shipped, echoed, st)
+			}
+			if st.Messages != 1 || st.AckRoundTrips != 1 {
+				t.Fatalf("want exactly one delta, delivered: %+v", st)
+			}
+		})
+	}
+}
+
 // TestManagerIdleSkipAndWake pins the consolidated-ticker idle test:
 // once a scan finds an edge clean, later ticks resolve it with a pair
 // of version loads (EdgesSkipped) instead of delta construction — and a

@@ -157,20 +157,64 @@ func connStateGauge(s ConnState) float64 {
 	}
 }
 
+// tcpSide is what both ends of the transport hold: the replica
+// endpoint, the settings, the state lock the transport goroutines share
+// with application code, and the counters they credit.
+type tcpSide struct {
+	ep  *Endpoint
+	cfg TCPConfig
+
+	// mu guards ep state, stats, o, and the owner's own mutable fields.
+	mu      sync.RWMutex
+	stats   TCPStats
+	o       tcpObs
+	onError func(error)
+	wg      sync.WaitGroup
+}
+
+// SetErrorHandler installs a callback for connection errors.
+func (t *tcpSide) SetErrorHandler(f func(error)) { t.onError = f }
+
+// Do runs f while holding the state lock; all local mutations of the
+// replicated state must go through it.
+func (t *tcpSide) Do(f func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f()
+}
+
+// RDo runs f while holding the state lock in shared mode: concurrent
+// RDo sections run in parallel with each other but serialize against Do
+// and against the transport's background goroutines. f must not mutate
+// replicated state — the concurrent serve path runs write-guarded
+// read-only invocations inside it.
+func (t *tcpSide) RDo(f func()) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	f()
+}
+
+// Stats returns a snapshot of transport counters.
+func (t *tcpSide) Stats() TCPStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats
+}
+
+func (t *tcpSide) fail(err error) {
+	if t.onError != nil && err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
+		t.onError(err)
+	}
+}
+
 // TCPMaster is the cloud master's listener: it accepts edge replicas and
 // keeps them synchronized with the master endpoint's state.
 type TCPMaster struct {
-	ep  *Endpoint
-	ln  net.Listener
-	cfg TCPConfig
-
-	mu      sync.RWMutex // guards ep state, stats, and the registry
-	stats   TCPStats
-	closed  bool
-	conns   map[net.Conn]*masterConn
-	wg      sync.WaitGroup
-	onError func(error)
-	o       tcpObs
+	tcpSide
+	ln net.Listener
+	// closed and the registry are guarded by mu.
+	closed bool
+	conns  map[net.Conn]*masterConn
 }
 
 // masterConn is the registry record for one accepted connection.
@@ -209,7 +253,7 @@ func ServeMasterConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPMaster, er
 	if err != nil {
 		return nil, fmt.Errorf("statesync: listen: %w", err)
 	}
-	m := &TCPMaster{ep: ep, ln: ln, cfg: cfg, conns: map[net.Conn]*masterConn{}}
+	m := &TCPMaster{tcpSide: tcpSide{ep: ep, cfg: cfg}, ln: ln, conns: map[net.Conn]*masterConn{}}
 	m.wg.Add(1)
 	go m.acceptLoop()
 	return m, nil
@@ -218,9 +262,6 @@ func ServeMasterConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPMaster, er
 // Addr returns the listener address (for edges to dial).
 func (m *TCPMaster) Addr() string { return m.ln.Addr().String() }
 
-// SetErrorHandler installs a callback for connection errors.
-func (m *TCPMaster) SetErrorHandler(f func(error)) { m.onError = f }
-
 // SetObs mirrors the master's transport counters into the registry
 // under statesync.tcp.master.* (see OBSERVABILITY.md). A nil Obs
 // disables mirroring.
@@ -228,32 +269,6 @@ func (m *TCPMaster) SetObs(o *obs.Obs) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.o = newTCPObs(o, "statesync.tcp.master")
-}
-
-// Do runs f while holding the master's state lock; all local mutations
-// of the master's replicated state must go through it.
-func (m *TCPMaster) Do(f func()) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f()
-}
-
-// RDo runs f while holding the master's state lock in shared mode:
-// concurrent RDo sections run in parallel with each other but serialize
-// against Do and against the transport's background goroutines. f must
-// not mutate replicated state — the concurrent serve path runs
-// write-guarded read-only invocations inside it.
-func (m *TCPMaster) RDo(f func()) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	f()
-}
-
-// Stats returns a snapshot of transport counters.
-func (m *TCPMaster) Stats() TCPStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // Connections lists the live, handshaked edge sessions.
@@ -292,12 +307,6 @@ func (m *TCPMaster) Close() error {
 	}
 	m.wg.Wait()
 	return err
-}
-
-func (m *TCPMaster) fail(err error) {
-	if m.onError != nil && err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-		m.onError(err)
-	}
 }
 
 func (m *TCPMaster) acceptLoop() {
@@ -345,9 +354,9 @@ func (m *TCPMaster) handshakedLocked() int {
 	return n
 }
 
-// serveConn handles one edge: hello exchange, then a reader applying
-// inbound edge_state frames while a pusher ships cloud_state deltas and
-// heartbeats. The read deadline declares a silent peer dead.
+// serveConn handles one edge: hello exchange, then the session loop
+// (tcpSession) applying inbound edge_state frames while shipping
+// cloud_state deltas and heartbeats.
 func (m *TCPMaster) serveConn(conn net.Conn) {
 	defer m.wg.Done()
 	defer func() { _ = conn.Close() }()
@@ -394,174 +403,7 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 		m.fail(err)
 		return
 	}
-	wc := newWireConn(conn, m.cfg, hello)
-
-	stop := make(chan struct{})
-	var once sync.Once
-	shutdown := func() { once.Do(func() { close(stop); _ = conn.Close() }) }
-	defer shutdown()
-
-	// Pusher: periodically ship deltas the edge is missing, plus
-	// heartbeats that keep an idle link inside the edge's read deadline.
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		defer shutdown()
-		ticker := time.NewTicker(m.cfg.Interval)
-		defer ticker.Stop()
-		var hbC <-chan time.Time
-		if m.cfg.Heartbeat > 0 {
-			hb := time.NewTicker(m.cfg.Heartbeat)
-			defer hb.Stop()
-			hbC = hb.C
-		}
-		for {
-			select {
-			case <-stop:
-				return
-			case <-hbC:
-				n, fr, _, err := wc.writeFrames(&frame{Kind: frameHeartbeat})
-				m.mu.Lock()
-				m.stats.BytesSent += int64(n)
-				m.stats.FramesSent += int64(fr)
-				m.stats.HeartbeatsSent += int64(fr)
-				m.o.bytesSent.Add(int64(n))
-				m.o.heartbeatsSent.Add(int64(fr))
-				m.mu.Unlock()
-				if err != nil {
-					m.fail(err)
-					return
-				}
-			case <-ticker.C:
-				m.mu.Lock()
-				if err := m.ep.refresh(); err != nil {
-					m.fail(err)
-				}
-				delta := m.ep.State.Delta(peerKnown)
-				var heads Heads
-				if !delta.Empty() {
-					heads = m.ep.State.Heads()
-				}
-				m.mu.Unlock()
-				if delta.Empty() {
-					continue
-				}
-				frames, elided := buildStateFrames(delta, m.cfg.batchChanges(), true)
-				granted := wc.reserveUpTo(len(frames))
-				if granted < len(frames) {
-					// Window backpressure: the edge has not acked enough of
-					// what we already pipelined. Ship what fits (possibly
-					// nothing); the cursor only advances past what was
-					// sent, so the rest retries next tick.
-					m.mu.Lock()
-					m.stats.WindowStalls++
-					m.o.batchWindowStalls.Add(1)
-					m.mu.Unlock()
-					if granted == 0 {
-						continue
-					}
-				}
-				sent := frames[:granted]
-				// wrote/comp count only frames that fully reached the wire —
-				// a write error mid-batch must not credit the remainder.
-				n, wrote, comp, err := wc.writeFrames(sent...)
-				m.mu.Lock()
-				m.stats.BytesSent += int64(n)
-				m.stats.FramesSent += int64(wrote)
-				m.stats.OpsElided += int64(elided)
-				m.stats.CompressedFrames += int64(comp)
-				m.o.bytesSent.Add(int64(n))
-				m.o.batchOpsElided.Add(int64(elided))
-				m.o.batchCompressedFrames.Add(int64(comp))
-				m.o.batchFramesPerWrite.Observe(float64(len(sent)))
-				m.o.batchChangesSent.Observe(float64(delta.Changes()))
-				if err == nil {
-					// Merge, never assign: while the lock was released for
-					// the write, the reader may have advanced the cursor
-					// past changes the edge shipped us; heads predates them.
-					if granted == len(frames) {
-						peerKnown = mergeHeads(peerKnown, heads)
-					} else {
-						for _, f := range sent {
-							peerKnown = advanceHeads(peerKnown, f.Delta)
-						}
-					}
-				}
-				m.mu.Unlock()
-				if err != nil {
-					m.fail(err)
-					return
-				}
-			}
-		}
-	}()
-
-	// Reader: apply inbound edge_state, count heartbeats and acks, and
-	// treat a silent peer as dead once the read deadline lapses.
-	for {
-		if m.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(m.cfg.ReadTimeout))
-		}
-		f, n, err := readFrame(r)
-		if err != nil {
-			if isTimeout(err) {
-				m.fail(fmt.Errorf("statesync: edge silent for %v, declaring dead: %w", m.cfg.ReadTimeout, err))
-			}
-			return
-		}
-		ackNow := 0
-		m.mu.Lock()
-		m.stats.BytesReceived += int64(n)
-		m.stats.FramesRecv++
-		m.o.bytesRecv.Add(int64(n))
-		var applyErr error
-		switch f.Kind {
-		case frameHeartbeat:
-			m.stats.HeartbeatsRecv++
-			m.o.heartbeatsRecv.Add(1)
-		case frameAck:
-			wc.ackRecv(f.Acked)
-			m.stats.AcksRecv += int64(f.Acked)
-			m.o.batchAcksRecv.Add(int64(f.Acked))
-		case frameState:
-			recv := int64(f.Delta.Changes())
-			m.stats.ChangesRecv += recv
-			m.o.changesRecv.Add(recv)
-			var applied int
-			applied, applyErr = m.ep.applyCount(f.Delta)
-			m.stats.ChangesApplied += int64(applied)
-			m.o.changesApplied.Add(int64(applied))
-			// The edge evidently knows these operations — advance the
-			// send cursor past them so they are not echoed back.
-			peerKnown = advanceHeads(peerKnown, f.Delta)
-			if applyErr == nil {
-				// The delta is applied and persisted (persist-before-ack
-				// inside applyCount) — safe to acknowledge.
-				ackNow = wc.noteState(r.Buffered() == 0)
-			}
-		}
-		m.mu.Unlock()
-		if applyErr != nil {
-			m.fail(applyErr)
-			return
-		}
-		if ackNow > 0 {
-			n, fr, _, err := wc.writeFrames(&frame{Kind: frameAck, Acked: ackNow})
-			m.mu.Lock()
-			m.stats.BytesSent += int64(n)
-			m.stats.FramesSent += int64(fr)
-			if fr > 0 {
-				m.stats.AcksSent += int64(ackNow)
-				m.o.batchAcksSent.Add(int64(ackNow))
-			}
-			m.o.bytesSent.Add(int64(n))
-			m.mu.Unlock()
-			if err != nil {
-				m.fail(err)
-				return
-			}
-		}
-	}
+	(&tcpSession{tcpSide: &m.tcpSide, known: &peerKnown, peer: "edge"}).run(conn, r, newWireConn(conn, m.cfg, hello))
 }
 
 // isTimeout reports whether err is a network deadline expiry.
@@ -575,19 +417,14 @@ func isTimeout(err error) bool {
 // re-handshakes from the CRDT heads, so synchronization resumes exactly
 // where the partition interrupted it.
 type TCPEdge struct {
-	ep   *Endpoint
+	tcpSide
 	addr string
-	cfg  TCPConfig
 
-	mu        sync.RWMutex // guards ep state, stats, status, conn
-	stats     TCPStats
+	// status, peerKnown and conn are guarded by mu.
 	status    EdgeStatus
 	peerKnown Heads
 	conn      net.Conn
-	onError   func(error)
-	o         tcpObs
 
-	wg   sync.WaitGroup
 	stop chan struct{}
 	once sync.Once
 	rng  *rand.Rand // supervisor goroutine only
@@ -611,11 +448,10 @@ func DialEdgeConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPEdge, error) 
 		return nil, err
 	}
 	e := &TCPEdge{
-		ep:   ep,
-		addr: addr,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		tcpSide: tcpSide{ep: ep, cfg: cfg},
+		addr:    addr,
+		stop:    make(chan struct{}),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	conn, r, wc, err := e.connect()
 	if err != nil {
@@ -627,9 +463,6 @@ func DialEdgeConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPEdge, error) 
 	return e, nil
 }
 
-// SetErrorHandler installs a callback for connection errors.
-func (e *TCPEdge) SetErrorHandler(f func(error)) { e.onError = f }
-
 // SetObs mirrors the edge's transport counters into the registry under
 // statesync.tcp.edge.<name>.* (see OBSERVABILITY.md). A nil Obs
 // disables mirroring.
@@ -638,28 +471,6 @@ func (e *TCPEdge) SetObs(o *obs.Obs) {
 	defer e.mu.Unlock()
 	e.o = newTCPObs(o, "statesync.tcp.edge."+e.ep.Name)
 	e.o.connState.Set(connStateGauge(e.status.State))
-}
-
-// Do runs f while holding the edge's state lock.
-func (e *TCPEdge) Do(f func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f()
-}
-
-// RDo runs f while holding the edge's state lock in shared mode; see
-// TCPMaster.RDo for the contract.
-func (e *TCPEdge) RDo(f func()) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	f()
-}
-
-// Stats returns a snapshot of transport counters.
-func (e *TCPEdge) Stats() TCPStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
 }
 
 // Status returns a snapshot of the supervision state.
@@ -683,12 +494,6 @@ func (e *TCPEdge) Close() error {
 	e.wg.Wait()
 	e.setState(ConnDisconnected, nil)
 	return nil
-}
-
-func (e *TCPEdge) fail(err error) {
-	if e.onError != nil && err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-		e.onError(err)
-	}
 }
 
 // stopped reports whether Close has been requested.
@@ -728,10 +533,18 @@ func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, *wireConn, error) {
 	e.mu.Lock()
 	// Declare durable heads, not in-memory ones: after a crash-restart
 	// the in-memory doc may hold unfsynced state the disk never saw, and
-	// claiming it would make the master skip the delta forever.
+	// claiming it would make the master skip the delta forever. Persist
+	// first, so a replica that has not synced yet does not declare less
+	// than it holds (the master would reship its whole history), and its
+	// first WAL record holds the fork-point state alone, ahead of any
+	// delta a torn tail could take with it.
+	perr := e.ep.refresh()
 	heads := e.ep.declaredHeads()
 	name := e.ep.Name
 	e.mu.Unlock()
+	if perr != nil {
+		e.fail(perr)
+	}
 	n, err := writeFrame(conn, &frame{
 		Kind: frameHello, From: name, Heads: heads,
 		// Declare our window (asking the master for acks) and offer
@@ -834,170 +647,207 @@ func (e *TCPEdge) reconnect() (net.Conn, *bufio.Reader, *wireConn, bool) {
 	}
 }
 
-// runSession drives one live connection: a pusher goroutine ships
-// deltas and heartbeats while the reader (this goroutine) applies
-// inbound cloud_state under a dead-peer read deadline. It returns once
-// the connection is unusable; the connection is closed on return.
+// runSession drives one live connection until it is unusable; the
+// connection is closed on return.
 func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader, wc *wireConn) {
+	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master"}).run(conn, r, wc)
+}
+
+// tcpSession is the replication step both ends of a TCP link run once
+// the hello exchange is done: a pusher goroutine ships deltas and
+// heartbeats while the reader (the calling goroutine) applies inbound
+// state frames and acknowledges them. Master and edge differ only in
+// the fields below.
+type tcpSession struct {
+	*tcpSide
+	// known is the send cursor — the peer's knowledge of our state —
+	// guarded by mu.
+	known *Heads
+	// halt, when non-nil, ends the session from outside (TCPEdge.Close).
+	halt <-chan struct{}
+	// peer names the other side in the dead-peer error.
+	peer string
+}
+
+// run drives one live connection: the read deadline declares a silent
+// peer dead. It returns once the connection is unusable and closes it.
+func (s *tcpSession) run(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 	stop := make(chan struct{})
 	var once sync.Once
 	shutdown := func() { once.Do(func() { close(stop); _ = conn.Close() }) }
 	defer shutdown()
 
-	e.wg.Add(1)
+	s.wg.Add(1)
 	go func() {
-		defer e.wg.Done()
+		defer s.wg.Done()
 		defer shutdown()
-		ticker := time.NewTicker(e.cfg.Interval)
-		defer ticker.Stop()
-		var hbC <-chan time.Time
-		if e.cfg.Heartbeat > 0 {
-			hb := time.NewTicker(e.cfg.Heartbeat)
-			defer hb.Stop()
-			hbC = hb.C
-		}
-		for {
-			select {
-			case <-stop:
+		s.push(wc, stop)
+	}()
+	s.read(conn, r, wc)
+}
+
+// push periodically ships the deltas the peer is missing, plus
+// heartbeats that keep an idle link inside the peer's read deadline.
+func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
+	ticker := time.NewTicker(s.cfg.Interval)
+	defer ticker.Stop()
+	var hbC <-chan time.Time
+	if s.cfg.Heartbeat > 0 {
+		hb := time.NewTicker(s.cfg.Heartbeat)
+		defer hb.Stop()
+		hbC = hb.C
+	}
+	for {
+		select {
+		case <-stop:
+			return
+		case <-s.halt:
+			return
+		case <-hbC:
+			n, fr, _, err := wc.writeFrames(&frame{Kind: frameHeartbeat})
+			s.mu.Lock()
+			s.stats.BytesSent += int64(n)
+			s.stats.FramesSent += int64(fr)
+			s.stats.HeartbeatsSent += int64(fr)
+			s.o.bytesSent.Add(int64(n))
+			s.o.heartbeatsSent.Add(int64(fr))
+			s.mu.Unlock()
+			if err != nil {
+				s.fail(err)
 				return
-			case <-e.stop:
+			}
+		case <-ticker.C:
+			if err := s.pushDelta(wc); err != nil {
+				s.fail(err)
 				return
-			case <-hbC:
-				n, fr, _, err := wc.writeFrames(&frame{Kind: frameHeartbeat})
-				e.mu.Lock()
-				e.stats.BytesSent += int64(n)
-				e.stats.FramesSent += int64(fr)
-				e.stats.HeartbeatsSent += int64(fr)
-				e.o.bytesSent.Add(int64(n))
-				e.o.heartbeatsSent.Add(int64(fr))
-				e.mu.Unlock()
-				if err != nil {
-					e.fail(err)
-					return
-				}
-			case <-ticker.C:
-				e.mu.Lock()
-				if err := e.ep.refresh(); err != nil {
-					e.fail(err)
-				}
-				delta := e.ep.State.Delta(e.peerKnown)
-				heads := Heads{}
-				if !delta.Empty() {
-					heads = e.ep.State.Heads()
-				}
-				e.mu.Unlock()
-				if delta.Empty() {
-					continue
-				}
-				frames, elided := buildStateFrames(delta, e.cfg.batchChanges(), true)
-				granted := wc.reserveUpTo(len(frames))
-				if granted < len(frames) {
-					// Window backpressure: ship what fits (possibly
-					// nothing); the cursor only advances past what was
-					// sent, so the rest retries next tick.
-					e.mu.Lock()
-					e.stats.WindowStalls++
-					e.o.batchWindowStalls.Add(1)
-					e.mu.Unlock()
-					if granted == 0 {
-						continue
-					}
-				}
-				sent := frames[:granted]
-				// wrote/comp count only frames that fully reached the wire —
-				// a write error mid-batch must not credit the remainder.
-				n, wrote, comp, err := wc.writeFrames(sent...)
-				e.mu.Lock()
-				e.stats.BytesSent += int64(n)
-				e.stats.FramesSent += int64(wrote)
-				e.stats.OpsElided += int64(elided)
-				e.stats.CompressedFrames += int64(comp)
-				e.o.bytesSent.Add(int64(n))
-				e.o.batchOpsElided.Add(int64(elided))
-				e.o.batchCompressedFrames.Add(int64(comp))
-				e.o.batchFramesPerWrite.Observe(float64(len(sent)))
-				e.o.batchChangesSent.Observe(float64(delta.Changes()))
-				if err == nil {
-					// Merge, never assign: the reader may have advanced the
-					// cursor while the lock was released (see the master's
-					// pusher).
-					if granted == len(frames) {
-						e.peerKnown = mergeHeads(e.peerKnown, heads)
-					} else {
-						for _, f := range sent {
-							e.peerKnown = advanceHeads(e.peerKnown, f.Delta)
-						}
-					}
-				}
-				e.mu.Unlock()
-				if err != nil {
-					e.fail(err)
-					return
-				}
 			}
 		}
-	}()
+	}
+}
 
+// pushDelta ships one tick's delta. Only a write error is returned: it
+// ends the session.
+func (s *tcpSession) pushDelta(wc *wireConn) error {
+	s.mu.Lock()
+	if err := s.ep.refresh(); err != nil {
+		s.fail(err)
+	}
+	delta := s.ep.State.Delta(*s.known)
+	var heads Heads
+	if !delta.Empty() {
+		heads = s.ep.State.Heads()
+	}
+	s.mu.Unlock()
+	if delta.Empty() {
+		return nil
+	}
+	frames, elided := buildStateFrames(delta, s.cfg.batchChanges(), true)
+	granted := wc.reserveUpTo(len(frames))
+	if granted < len(frames) {
+		// Window backpressure: the peer has not acked enough of what we
+		// already pipelined. Ship what fits (possibly nothing); the cursor
+		// only advances past what was sent, so the rest retries next tick.
+		s.mu.Lock()
+		s.stats.WindowStalls++
+		s.o.batchWindowStalls.Add(1)
+		s.mu.Unlock()
+		if granted == 0 {
+			return nil
+		}
+	}
+	sent := frames[:granted]
+	// wrote/comp count only frames that fully reached the wire — a write
+	// error mid-batch must not credit the remainder.
+	n, wrote, comp, err := wc.writeFrames(sent...)
+	s.mu.Lock()
+	s.stats.BytesSent += int64(n)
+	s.stats.FramesSent += int64(wrote)
+	s.stats.OpsElided += int64(elided)
+	s.stats.CompressedFrames += int64(comp)
+	s.o.bytesSent.Add(int64(n))
+	s.o.batchOpsElided.Add(int64(elided))
+	s.o.batchCompressedFrames.Add(int64(comp))
+	s.o.batchFramesPerWrite.Observe(float64(len(sent)))
+	s.o.batchChangesSent.Observe(float64(delta.Changes()))
+	if err == nil {
+		// Merge, never assign: while the lock was released for the write,
+		// the reader may have advanced the cursor past changes the peer
+		// shipped us; heads predates them.
+		if granted == len(frames) {
+			*s.known = mergeHeads(*s.known, heads)
+		} else {
+			for _, f := range sent {
+				*s.known = advanceHeads(*s.known, f.Delta)
+			}
+		}
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// read applies inbound state frames, counts heartbeats and acks, and
+// treats a silent peer as dead once the read deadline lapses.
+func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 	for {
-		if e.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(e.cfg.ReadTimeout))
+		if s.cfg.ReadTimeout > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
 		f, n, err := readFrame(r)
 		if err != nil {
 			if isTimeout(err) {
-				e.fail(fmt.Errorf("statesync: master silent for %v, declaring dead: %w", e.cfg.ReadTimeout, err))
+				s.fail(fmt.Errorf("statesync: %s silent for %v, declaring dead: %w", s.peer, s.cfg.ReadTimeout, err))
 			}
 			return
 		}
 		ackNow := 0
-		e.mu.Lock()
-		e.stats.BytesReceived += int64(n)
-		e.stats.FramesRecv++
-		e.o.bytesRecv.Add(int64(n))
+		s.mu.Lock()
+		s.stats.BytesReceived += int64(n)
+		s.stats.FramesRecv++
+		s.o.bytesRecv.Add(int64(n))
 		var applyErr error
 		switch f.Kind {
 		case frameHeartbeat:
-			e.stats.HeartbeatsRecv++
-			e.o.heartbeatsRecv.Add(1)
+			s.stats.HeartbeatsRecv++
+			s.o.heartbeatsRecv.Add(1)
 		case frameAck:
 			wc.ackRecv(f.Acked)
-			e.stats.AcksRecv += int64(f.Acked)
-			e.o.batchAcksRecv.Add(int64(f.Acked))
+			s.stats.AcksRecv += int64(f.Acked)
+			s.o.batchAcksRecv.Add(int64(f.Acked))
 		case frameState:
 			recv := int64(f.Delta.Changes())
-			e.stats.ChangesRecv += recv
-			e.o.changesRecv.Add(recv)
+			s.stats.ChangesRecv += recv
+			s.o.changesRecv.Add(recv)
 			var applied int
-			applied, applyErr = e.ep.applyCount(f.Delta)
-			e.stats.ChangesApplied += int64(applied)
-			e.o.changesApplied.Add(int64(applied))
-			// The master evidently knows these operations — advance the
-			// send cursor past them so they are not echoed back.
-			e.peerKnown = advanceHeads(e.peerKnown, f.Delta)
+			applied, applyErr = s.ep.applyCount(f.Delta)
+			s.stats.ChangesApplied += int64(applied)
+			s.o.changesApplied.Add(int64(applied))
+			// The peer evidently knows these operations — advance the send
+			// cursor past them so they are not echoed back.
+			*s.known = advanceHeads(*s.known, f.Delta)
 			if applyErr == nil {
-				// Applied and persisted (persist-before-ack inside
-				// applyCount) — safe to acknowledge.
+				// The delta is applied and persisted (persist-before-ack
+				// inside applyCount) — safe to acknowledge.
 				ackNow = wc.noteState(r.Buffered() == 0)
 			}
 		}
-		e.mu.Unlock()
+		s.mu.Unlock()
 		if applyErr != nil {
-			e.fail(applyErr)
+			s.fail(applyErr)
 			return
 		}
 		if ackNow > 0 {
 			n, fr, _, err := wc.writeFrames(&frame{Kind: frameAck, Acked: ackNow})
-			e.mu.Lock()
-			e.stats.BytesSent += int64(n)
-			e.stats.FramesSent += int64(fr)
+			s.mu.Lock()
+			s.stats.BytesSent += int64(n)
+			s.stats.FramesSent += int64(fr)
 			if fr > 0 {
-				e.stats.AcksSent += int64(ackNow)
-				e.o.batchAcksSent.Add(int64(ackNow))
+				s.stats.AcksSent += int64(ackNow)
+				s.o.batchAcksSent.Add(int64(ackNow))
 			}
-			e.o.bytesSent.Add(int64(n))
-			e.mu.Unlock()
+			s.o.bytesSent.Add(int64(n))
+			s.mu.Unlock()
 			if err != nil {
-				e.fail(err)
+				s.fail(err)
 				return
 			}
 		}
