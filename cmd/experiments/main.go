@@ -7,6 +7,7 @@
 //	experiments -exp table2
 //	experiments -exp rtt|fig6b|fig7|fig8|fig9|fig10a|fig10b|accuracy|ablations
 //	experiments -exp bench -benchout BENCH_pipeline.json -durableout BENCH_durable.json -statesyncout BENCH_statesync.json -serveout BENCH_serve.json -placementout BENCH_placement.json
+//	experiments -exp benchserve|benchstatesync   — one report alone
 package main
 
 import (
@@ -18,7 +19,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, rtt, table2, table2full, fig6b, fig7, fig8, fig9, fig10a, fig10b, accuracy, ablations, bench, benchserve")
+	exp := flag.String("exp", "all", "experiment to run: all, rtt, table2, table2full, fig6b, fig7, fig8, fig9, fig10a, fig10b, accuracy, ablations, bench, benchserve, benchstatesync")
 	benchOut := flag.String("benchout", "BENCH_pipeline.json", "output path for the -exp bench perf report")
 	durableOut := flag.String("durableout", "BENCH_durable.json", "output path for the -exp bench durability report")
 	statesyncOut := flag.String("statesyncout", "BENCH_statesync.json", "output path for the -exp bench replication report")
@@ -27,6 +28,13 @@ func main() {
 	flag.Parse()
 	if *exp == "benchserve" {
 		if err := runBenchServe(*serveOut); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *exp == "benchstatesync" {
+		if err := runBenchStatesync(*statesyncOut); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}

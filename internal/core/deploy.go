@@ -163,8 +163,8 @@ type Deployment struct {
 	// Stores maps node name ("cloud", "edge-1", …) to its durable store;
 	// empty when the deployment runs without durability. Stop closes
 	// every store.
-	Stores     map[string]*durable.Store
-	storeOrder []string
+	Stores       map[string]*durable.Store
+	durableNodes []durableNode
 
 	replicated map[string]bool // "METHOD /pattern" served at the edge
 	// replicatedNames is the same set in the Result's order, so request

@@ -31,29 +31,40 @@ func (c DurabilityConfig) Enabled() bool { return c.Dir != "" }
 
 // nodeStore opens the durable store for one named node under the
 // durability root and, when the directory holds a previous incarnation,
-// recovers its replica state. A nil *ReplicaState with a nil error
-// means a fresh start (nothing recovered).
-func (c DurabilityConfig) nodeStore(node string, actor crdt.ActorID, o *obs.Obs) (*durable.Store, *statesync.ReplicaState, error) {
-	store, err := durable.Open(filepath.Join(c.Dir, node), durable.Options{
+// recovers its replica state. A nil *ReplicaState means a fresh start:
+// either the directory held nothing, or — with recoverErr set — it held
+// data that RecoverReplicaState rejected, which counts one
+// durable.recovery.fallback.
+func (c DurabilityConfig) nodeStore(node string, actor crdt.ActorID, o *obs.Obs) (store *durable.Store, state *statesync.ReplicaState, recoverErr, err error) {
+	store, err = durable.Open(filepath.Join(c.Dir, node), durable.Options{
 		Fsync: c.Fsync,
 		Obs:   o,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: durable store %s: %w", node, err)
+		return nil, nil, nil, fmt.Errorf("core: durable store %s: %w", node, err)
 	}
 	rec := store.Recovery()
 	if rec.Empty() {
-		return store, nil, nil
+		return store, nil, nil, nil
 	}
-	state, err := statesync.RecoverReplicaState(actor, rec)
-	if err != nil {
+	state, recoverErr = statesync.RecoverReplicaState(actor, rec)
+	if recoverErr != nil {
 		// The directory held data but not a loadable replica (e.g. the
-		// WAL was damaged right at the container-creation prefix). Treat
-		// it as a fresh start — the node rejoins via full resync and the
-		// log repopulates — rather than refusing to deploy.
-		return store, nil, nil
+		// WAL was damaged right at the container-creation prefix). Start
+		// fresh — the node rejoins via full resync and the log
+		// repopulates — rather than refusing to deploy, but say so.
+		o.Counter("durable.recovery.fallback").Add(1)
+		return store, nil, recoverErr, nil
 	}
-	return store, state, nil
+	return store, state, nil, nil
+}
+
+// durableNode is what nodeState did for one node's store, in deployment
+// order, for Observe.
+type durableNode struct {
+	name       string
+	recovered  bool
+	recoverErr error
 }
 
 // nodeState resolves one node's replica state under the durability
@@ -68,14 +79,15 @@ func (d *Deployment) nodeState(cfg DurabilityConfig, node string, actor crdt.Act
 		st, err := fresh()
 		return st, nil, false, err
 	}
-	store, recoveredState, err := cfg.nodeStore(node, actor, d.Obs)
+	store, recoveredState, recoverErr, err := cfg.nodeStore(node, actor, d.Obs)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	d.Stores[node] = store
-	d.storeOrder = append(d.storeOrder, node)
+	recovered := recoveredState != nil
+	d.durableNodes = append(d.durableNodes, durableNode{name: node, recovered: recovered, recoverErr: recoverErr})
 	p := statesync.NewPersister(store, cfg.SnapshotEvery)
-	if recoveredState != nil {
+	if recovered {
 		return recoveredState, p, true, nil
 	}
 	st, err := fresh()
@@ -89,9 +101,13 @@ type DurabilityObservation struct {
 	// Recovered reports whether this deployment resumed the node from a
 	// previous incarnation's data; Torn whether recovery had to discard
 	// a damaged WAL tail or snapshot.
-	Recovered      bool `json:"recovered"`
-	Torn           bool `json:"torn,omitempty"`
-	ReplayedFrames int  `json:"replayed_frames"`
+	Recovered bool `json:"recovered"`
+	Torn      bool `json:"torn,omitempty"`
+	// RecoveryError is why the node started fresh although its data
+	// directory held a log: the recovered changes did not rebuild a
+	// replica (each such start counts one durable.recovery.fallback).
+	RecoveryError  string `json:"recovery_error,omitempty"`
+	ReplayedFrames int    `json:"replayed_frames"`
 	// RecoveryMS is the wall-clock recovery time in milliseconds.
 	RecoveryMS float64 `json:"recovery_ms"`
 	// WAL I/O since the store opened.
@@ -102,20 +118,24 @@ type DurabilityObservation struct {
 
 // observeDurability snapshots every node store for Observe.
 func (d *Deployment) observeDurability() []DurabilityObservation {
-	out := make([]DurabilityObservation, 0, len(d.Stores))
-	for _, node := range d.storeOrder {
-		store := d.Stores[node]
+	out := make([]DurabilityObservation, 0, len(d.durableNodes))
+	for _, n := range d.durableNodes {
+		store := d.Stores[n.name]
 		rec, stats := store.Recovery(), store.Stats()
-		out = append(out, DurabilityObservation{
-			Node:           node,
-			Recovered:      !rec.Empty(),
+		ob := DurabilityObservation{
+			Node:           n.name,
+			Recovered:      n.recovered,
 			Torn:           rec.Torn,
 			ReplayedFrames: rec.ReplayedFrames,
 			RecoveryMS:     float64(rec.Duration.Microseconds()) / 1000,
 			Appends:        stats.Appends,
 			Fsyncs:         stats.Fsyncs,
 			Snapshots:      stats.Snapshots,
-		})
+		}
+		if n.recoverErr != nil {
+			ob.RecoveryError = n.recoverErr.Error()
+		}
+		out = append(out, ob)
 	}
 	return out
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/crdt"
 	"repro/internal/durable"
 	"repro/internal/httpapp"
 	"repro/internal/obs"
@@ -242,5 +245,77 @@ func TestAfterInvokeErrorsSurface(t *testing.T) {
 	}
 	if got := o.Counter("serve.after_invoke_errors." + edge.Name).Value(); got != requests {
 		t.Fatalf("serve.after_invoke_errors.%s = %d, want %d", edge.Name, got, requests)
+	}
+}
+
+// TestDeployRecoveryFallbackIsReported: a node whose data directory
+// holds a log without the container-creation prefix cannot be rebuilt
+// and starts fresh. That fallback must be counted, carry its error into
+// Observe, and not be reported as a recovery.
+func TestDeployRecoveryFallbackIsReported(t *testing.T) {
+	res := transformSubject(t, "sensor-hub")
+	dataDir := t.TempDir()
+	cfg := DefaultDeployConfig()
+	cfg.EdgeSpecs = cfg.EdgeSpecs[:1]
+	cfg.Durability = DurabilityConfig{Dir: dataDir, Fsync: durable.FsyncAlways}
+	d, err := Deploy(simclock.New(), res, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SettleSync(60 * time.Second)
+	d.Stop()
+
+	// Rewrite edge-1's log as one record holding only its JSON history:
+	// the table and file containers' creation changes are gone.
+	edgeDir := filepath.Join(dataDir, "edge-1")
+	old, err := durable.Open(edgeDir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonHistory := old.Recovery().Components["json"]
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(jsonHistory) == 0 {
+		t.Fatal("edge-1 persisted no JSON history to keep")
+	}
+	if err := os.RemoveAll(edgeDir); err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := durable.Open(edgeDir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := damaged.Append(map[string][]crdt.Change{"json": jsonHistory}); err != nil {
+		t.Fatal(err)
+	}
+	if err := damaged.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o := obs.New()
+	d2, err := DeployContext(obs.With(context.Background(), o), simclock.New(), res, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Stop()
+	d2.SettleSync(60 * time.Second)
+	if !d2.Converged() {
+		t.Fatal("deployment with a fresh-started edge did not converge")
+	}
+	if got := o.Counter("durable.recovery.fallback").Value(); got != 1 {
+		t.Fatalf("durable.recovery.fallback = %d, want 1", got)
+	}
+	for _, rec := range Observe(d2).Durability {
+		switch rec.Node {
+		case "cloud":
+			if !rec.Recovered || rec.RecoveryError != "" {
+				t.Errorf("cloud: %+v, want recovered without error", rec)
+			}
+		case "edge-1":
+			if rec.Recovered || !strings.Contains(rec.RecoveryError, "recover") {
+				t.Errorf("edge-1: %+v, want not recovered, with the recovery error", rec)
+			}
+		}
 	}
 }

@@ -8,13 +8,16 @@ import (
 
 // This file defines the stable binary wire/disk format for changes and
 // version vectors. Unlike the JSON forms (EncodeChanges), which exist
-// for the paper's traffic-volume accounting and may evolve freely, the
-// binary format is pinned: every encoding starts with a format-version
-// byte, the golden tests in binary_test.go lock the byte layout, and
-// decoders reject versions they do not understand. internal/durable
-// builds its on-disk WAL frames and snapshots on this format, so any
-// layout change requires a new version byte plus a decoder for the old
-// one.
+// for the paper's traffic-volume accounting in virtual time and may
+// evolve freely, the binary format is pinned: every encoding starts
+// with a format-version byte, the golden tests in binary_test.go and
+// components_test.go lock the byte layout, and decoders reject versions
+// they do not understand. Both real carriers build on it through the
+// component record of components.go: internal/durable's WAL records and
+// snapshots on disk, and internal/statesync's TCP state frames on the
+// wire. Any layout change therefore needs a new version byte plus a
+// decoder for the old one, or existing data directories stop
+// recovering.
 //
 // Layout (version 1), all integers unsigned varints unless noted:
 //
@@ -61,7 +64,7 @@ func DecodeChangesBinary(b []byte) ([]Change, error) {
 	if err != nil {
 		return nil, err
 	}
-	chs := make([]Change, 0, min(int(n), 1024))
+	chs := make([]Change, 0, d.capFor(n))
 	for i := uint64(0); i < n; i++ {
 		ch, err := d.change()
 		if err != nil {
@@ -213,6 +216,13 @@ func (d *binDecoder) done() error {
 	return nil
 }
 
+// capFor turns a decoded element count into a safe preallocation size:
+// every element takes at least one byte, so a count beyond the bytes
+// left is corrupt, and no hint exceeds 1024 however long the input.
+func (d *binDecoder) capFor(n uint64) int {
+	return int(min(n, uint64(len(d.b)-d.pos), 1024))
+}
+
 func (d *binDecoder) byte() (byte, error) {
 	if d.pos >= len(d.b) {
 		return 0, fmt.Errorf("%w: truncated", ErrBinaryFormat)
@@ -283,7 +293,7 @@ func (d *binDecoder) vv() (VersionVector, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	vv := make(VersionVector, n)
+	vv := make(VersionVector, d.capFor(n))
 	for i := uint64(0); i < n; i++ {
 		a, err := d.string()
 		if err != nil {
@@ -318,7 +328,7 @@ func (d *binDecoder) change() (Change, error) {
 	if err != nil {
 		return ch, err
 	}
-	ch.Ops = make([]Op, 0, min(int(nops), 1024))
+	ch.Ops = make([]Op, 0, d.capFor(nops))
 	for i := uint64(0); i < nops; i++ {
 		op, err := d.op()
 		if err != nil {

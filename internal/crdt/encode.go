@@ -10,9 +10,10 @@ import (
 // lets callers allocate once, and a sync.Pool of reusable encode
 // buffers. The byte layout is identical to binary.go (the golden tests
 // pin both paths to the same output); only the allocation strategy
-// differs. The replication hot path — WAL appends and TCP state frames —
-// encodes every outbound batch, so it borrows a pooled buffer instead of
-// allocating per batch.
+// differs. Both carriers of the replication hot path — WAL appends and
+// TCP state frames — encode every outbound batch as a component record
+// (components.go) into a buffer borrowed from this pool, sized once by
+// the size hint, instead of allocating per batch.
 
 // EncodeChangesInto appends the stable binary encoding of chs to dst and
 // returns the extended slice. It produces exactly the bytes

@@ -10,7 +10,7 @@ import (
 
 // A snapshot file holds the full change history of every component at
 // compaction time, as a single CRC-framed payload in the WAL record
-// encoding (see appendComponents).
+// encoding (crdt.AppendComponents).
 //
 // The file name snap-<seq>.snap records the first WAL segment NOT
 // covered by the snapshot: recovery loads the snapshot, then replays
@@ -21,7 +21,7 @@ import (
 // writeSnapshotFile atomically writes the snapshot covering everything
 // before WAL segment seq.
 func writeSnapshotFile(dir string, seq uint64, components map[string][]crdt.Change) error {
-	frame := appendFrame(nil, appendComponents(nil, components))
+	frame := appendFrame(nil, crdt.AppendComponents(nil, components))
 	tmp := filepath.Join(dir, snapName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -57,5 +57,9 @@ func loadSnapshotFile(path string) (map[string][]crdt.Change, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %s: %w", filepath.Base(path), err)
 	}
-	return decodeComponents(payload)
+	components, err := crdt.DecodeComponents(payload)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w: %v", filepath.Base(path), errBadFrame, err)
+	}
+	return components, nil
 }

@@ -347,7 +347,7 @@ func (s *Store) replaySegment(path string, rec *Recovery) (valid int64, frames i
 			}
 			return valid, frames, false, rerr
 		}
-		components, derr := decodeComponents(payload)
+		components, derr := crdt.DecodeComponents(payload)
 		if derr != nil {
 			// The frame checksummed but does not decode — treat as
 			// corruption and stop, same as a torn frame.
@@ -381,10 +381,10 @@ func (s *Store) Append(components map[string][]crdt.Change) error {
 	// payload into the shared queue, so the buffer is recycled
 	// immediately.
 	ebuf := crdt.GetEncodeBuffer()
-	if hint := componentsSizeHint(components); cap(ebuf.B) < hint {
+	if hint := crdt.ComponentsSizeHint(components); cap(ebuf.B) < hint {
 		ebuf.B = make([]byte, 0, hint)
 	}
-	ebuf.B = appendComponents(ebuf.B[:0], components)
+	ebuf.B = crdt.AppendComponents(ebuf.B[:0], components)
 
 	s.mu.Lock()
 	if s.closed {

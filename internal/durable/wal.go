@@ -12,8 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/crdt"
 )
 
 // FsyncPolicy selects when the WAL forces appended frames to stable
@@ -135,90 +133,11 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// A WAL record and a snapshot payload share one encoding: a batch of
-// changes for every component, so one Append is atomic across
-// components — a torn frame loses the whole batch, never a part of it.
-//
-//	record := uvarint(ncomponents)
-//	          (uvarint(len(name)) name uvarint(len(enc)) enc)*
-//	enc    := crdt.EncodeChangesBinary(changes) — carries the format
-//	          version byte, pinning the layout
-//
-// Components appear in name order.
-
-// appendComponents appends the encoding of components to dst, letting
-// the append hot path encode into a pooled buffer.
-func appendComponents(dst []byte, components map[string][]crdt.Change) []byte {
-	names := make([]string, 0, len(components))
-	for name := range components {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		// Encode past room for the longest length prefix, then slide the
-		// encoding down to sit right after its actual prefix.
-		at := len(dst)
-		dst = crdt.EncodeChangesInto(append(dst, make([]byte, binary.MaxVarintLen64)...), components[name])
-		enc := dst[at+binary.MaxVarintLen64:]
-		n := len(binary.AppendUvarint(dst[:at], uint64(len(enc))))
-		dst = dst[:n+copy(dst[n:], enc)]
-	}
-	return dst
-}
-
-// componentsSizeHint bounds appendComponents' output size.
-func componentsSizeHint(components map[string][]crdt.Change) int {
-	n := binary.MaxVarintLen64
-	for name, chs := range components {
-		n += 2*binary.MaxVarintLen64 + len(name) + crdt.ChangesSizeHint(chs)
-	}
-	return n
-}
-
-func decodeComponents(payload []byte) (map[string][]crdt.Change, error) {
-	take := func(b []byte) (uint64, []byte, error) {
-		n, used := binary.Uvarint(b)
-		if used <= 0 {
-			return 0, nil, fmt.Errorf("%w: bad record varint", errBadFrame)
-		}
-		return n, b[used:], nil
-	}
-	ncomp, rest, err := take(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]crdt.Change, ncomp)
-	for i := uint64(0); i < ncomp; i++ {
-		var n uint64
-		if n, rest, err = take(rest); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: component name overruns record", errBadFrame)
-		}
-		name := string(rest[:n])
-		rest = rest[n:]
-		if n, rest, err = take(rest); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: component %q overruns record", errBadFrame, name)
-		}
-		chs, err := crdt.DecodeChangesBinary(rest[:n])
-		if err != nil {
-			return nil, fmt.Errorf("%w: component %q: %v", errBadFrame, name, err)
-		}
-		out[name] = chs
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing record bytes", errBadFrame, len(rest))
-	}
-	return out, nil
-}
+// A WAL record and a snapshot payload are one crdt component batch
+// (crdt.AppendComponents): the changes of every component in one
+// record, so one Append is atomic across components — a torn frame
+// loses the whole batch, never a part of it. The TCP transport ships
+// state frames in the same record layout.
 
 // wal owns the active segment file. All methods run under the owning
 // Store's mutex.

@@ -355,3 +355,26 @@ func BenchmarkPointSelect(b *testing.B) {
 		})
 	}
 }
+
+// TestKeyScopeMintsDistinctKeys: a scoped DB mints "_rowid_<n>@scope",
+// only its own scope's replicated keys move its counter, and a foreign
+// scope's key of the same n is a different row.
+func TestKeyScopeMintsDistinctKeys(t *testing.T) {
+	db := Open()
+	db.SetKeyScope("a")
+	mustExec(t, db, "CREATE TABLE log (msg TEXT)")
+	if res := mustExec(t, db, "INSERT INTO log (msg) VALUES ('one')"); res.LastKey != "_rowid_1@a" {
+		t.Fatalf("first scoped key = %q, want _rowid_1@a", res.LastKey)
+	}
+	for key, msg := range map[string]string{"_rowid_5@a": "own", "_rowid_9@b": "foreign", "_rowid_7": "unscoped"} {
+		if err := db.PutRow("log", key, map[string]any{"msg": msg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := mustExec(t, db, "INSERT INTO log (msg) VALUES ('next')"); res.LastKey != "_rowid_6@a" {
+		t.Fatalf("key after replicated _rowid_5@a = %q, want _rowid_6@a", res.LastKey)
+	}
+	if n, _ := db.RowCount("log"); n != 5 {
+		t.Fatalf("log rows = %d, want 5", n)
+	}
+}

@@ -208,6 +208,9 @@ type DB struct {
 	// scanOnly disables primary-key lookups, so tests can compare them
 	// with the scan they replace.
 	scanOnly bool
+	// keyScope, when set, is part of every synthetic row key this DB
+	// mints; see SetKeyScope.
+	keyScope string
 }
 
 // Open returns an empty database.
@@ -220,6 +223,32 @@ func (db *DB) OnMutation(h MutationHook) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.hooks = append(db.hooks, h)
+}
+
+// SetKeyScope makes the synthetic keys this DB mints for rows of tables
+// without a primary key unique to scope: "_rowid_<n>@<scope>" instead of
+// "_rowid_<n>". Replicas that insert before they sync mint keys under
+// distinct scopes, so replication keeps each of their rows rather than
+// merging rows that happen to share a counter value. Set it before the
+// first INSERT that should carry it.
+func (db *DB) SetKeyScope(scope string) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.keyScope = scope
+}
+
+// ownRowID reports the counter value in key when key is a synthetic key
+// this DB's scope mints.
+func (db *DB) ownRowID(key string) (int64, bool) {
+	rest, ok := strings.CutPrefix(key, rowIDPrefix)
+	if ok && db.keyScope != "" {
+		rest, ok = strings.CutSuffix(rest, "@"+db.keyScope)
+	}
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(rest, 10, 64)
+	return n, err == nil
 }
 
 // SetMuted toggles hook suppression. The synchronization runtime mutes
@@ -356,9 +385,10 @@ func (db *DB) Dump() map[string][]Row {
 // runtime applies replicated rows through it. An existing row keeps its
 // place in the table's order; a new one is appended, as INSERT does.
 // Values are coerced like statement arguments. In a table without a
-// primary key, a synthetic "_rowid_<n>" key advances the row-ID counter
-// past n, so a later INSERT never reuses it. The table must exist
-// (ErrNoTable otherwise).
+// primary key, a synthetic key of this DB's own scope (see SetKeyScope)
+// advances the row-ID counter past its n, so a later INSERT never reuses
+// it; keys of other scopes cannot collide and leave it alone. The table
+// must exist (ErrNoTable otherwise).
 func (db *DB) PutRow(table, key string, cols map[string]any) error {
 	row := make(Row, len(cols))
 	for c, v := range cols {
@@ -381,10 +411,8 @@ func (db *DB) PutRow(table, key string, cols map[string]any) error {
 	}
 	t.rows[key] = row
 	t.countDrift(key, row, +1)
-	if t.pkCol == "" && strings.HasPrefix(key, rowIDPrefix) {
-		if n, err := strconv.ParseInt(key[len(rowIDPrefix):], 10, 64); err == nil && n > t.nextID {
-			t.nextID = n
-		}
+	if n, ok := db.ownRowID(key); t.pkCol == "" && ok && n > t.nextID {
+		t.nextID = n
 	}
 	return nil
 }
@@ -637,6 +665,9 @@ func (db *DB) execInsert(s *insertStmt, args []any) (*Result, error) {
 		} else {
 			t.nextID++
 			key = rowIDPrefix + strconv.FormatInt(t.nextID, 10)
+			if db.keyScope != "" {
+				key += "@" + db.keyScope
+			}
 		}
 		t.rows[key] = row
 		t.keyOrder = append(t.keyOrder, key)

@@ -610,3 +610,26 @@ func benchApplyRemote(b *testing.B, rows, changes int) {
 		done += len(batch)
 	}
 }
+
+// TestConcurrentKeylessInsertsKeepBothRows: one INSERT into a table
+// without a primary key at each of two edges, before they sync, leaves
+// both rows on every node — each replica mints its keys in its own
+// scope, so last-writer-wins never merges them.
+func TestConcurrentKeylessInsertsKeepBothRows(t *testing.T) {
+	nodes, clock, mgr := managerRig(t)
+	for _, n := range nodes[1:] {
+		if _, err := n.app.DB().Exec("INSERT INTO notes (msg) VALUES (?)", n.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, clock, mgr)
+	for _, n := range nodes {
+		res, err := n.app.DB().Exec("SELECT msg FROM notes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Errorf("%s holds %d notes %v, want 2 (one per edge)", n.name, len(res.Rows), res.Rows)
+		}
+	}
+}

@@ -116,6 +116,10 @@ func bind(app *httpapp.App, state *ReplicaState, units analysis.StateUnits, seed
 	}
 	b.trackedFiles = len(units.Files) > 0 || len(units.FileStmts) > 0
 
+	// A row of a table without a primary key replicates under the key
+	// its DB minted; scoping minted keys to this replica's table actor
+	// keeps two replicas' concurrent inserts from landing on one key.
+	app.DB().SetKeyScope(string(state.Tables.Doc().Actor()))
 	app.DB().OnMutation(func(m sqldb.Mutation) {
 		if !b.trackedTables[m.Table] {
 			return

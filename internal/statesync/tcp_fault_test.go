@@ -497,7 +497,7 @@ func TestBadHelloReportsFrameKind(t *testing.T) {
 		if strings.Contains(err.Error(), "%!w") {
 			t.Fatalf("master wrapped a nil error: %v", err)
 		}
-		if !strings.Contains(err.Error(), string(frameState)) {
+		if !strings.Contains(err.Error(), frameState.String()) {
 			t.Fatalf("master error %q does not name the unexpected frame kind", err)
 		}
 	case <-time.After(3 * time.Second):
@@ -530,7 +530,7 @@ func TestBadHelloReportsFrameKind(t *testing.T) {
 	if strings.Contains(err.Error(), "%!w") {
 		t.Fatalf("edge wrapped a nil error: %v", err)
 	}
-	if !strings.Contains(err.Error(), string(frameState)) {
+	if !strings.Contains(err.Error(), frameState.String()) {
 		t.Fatalf("edge error %q does not name the unexpected frame kind", err)
 	}
 }

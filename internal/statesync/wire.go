@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,42 +14,208 @@ import (
 	"repro/internal/crdt"
 )
 
-// This file is the TCP transport's wire layer: frame encoding (with
+// This file is the TCP transport's wire layer: the binary frame codec,
 // optional per-frame flate compression negotiated in the hello
-// exchange), vectored multi-frame writes, and the bounded in-flight
+// exchange, vectored multi-frame writes, and the bounded in-flight
 // window with watermark acknowledgements that lets the pusher pipeline
 // state frames without ever buffering an unbounded backlog at a slow
 // peer. tcp.go owns connection lifecycle and drives this layer.
+//
+// A frame on the wire is a 4-byte big-endian length word (top bit: the
+// payload is flate-compressed) followed by the payload:
+//
+//	payload := wireVersion(1B) kind(1B) string(from) heads delta
+//	           varint(window) compress(1B: 0|1) varint(acked)
+//	heads   := crdt.AppendVectors — per-component version vectors
+//	delta   := crdt.AppendComponents — the WAL's component batch record
+//	string  := uvarint(len) bytes
+//
+// The delta is the very record the WAL appends, so a change is encoded
+// the same way on disk and on the wire. There is one wire version and no
+// negotiation: a peer whose first byte differs (a JSON-framed peer's
+// payload starts with '{') fails the hello instead of being misparsed.
 
-// frameKind tags wire frames.
-type frameKind string
+// wireVersion is the payload's first byte. Bump it on any layout change;
+// peers on different versions refuse each other's hello.
+const wireVersion byte = 1
+
+// frameKind tags wire frames; it is the payload's second byte.
+type frameKind uint8
 
 const (
-	frameHello     frameKind = "hello"
-	frameState     frameKind = "state"
-	frameHeartbeat frameKind = "heartbeat"
+	frameHello     frameKind = 1
+	frameState     frameKind = 2
+	frameHeartbeat frameKind = 3
 	// frameAck acknowledges Acked state frames (watermark acks, sent
-	// only to peers that declared a window in their hello). Peers that
-	// predate it ignore unknown kinds, so it is backward compatible.
-	frameAck frameKind = "ack"
+	// only to peers that declared a window in their hello). Readers
+	// ignore kinds they do not know.
+	frameAck frameKind = 4
 )
+
+func (k frameKind) String() string {
+	switch k {
+	case frameHello:
+		return "hello"
+	case frameState:
+		return "state"
+	case frameHeartbeat:
+		return "heartbeat"
+	case frameAck:
+		return "ack"
+	default:
+		return fmt.Sprintf("kind-%d", uint8(k))
+	}
+}
 
 // frame is the wire message.
 type frame struct {
-	Kind  frameKind `json:"kind"`
-	From  string    `json:"from,omitempty"`
-	Heads Heads     `json:"heads,omitempty"`
-	Delta Delta     `json:"delta,omitempty"`
+	Kind  frameKind
+	From  string
+	Heads Heads
+	Delta Delta
 	// Window (hello only) declares the sender's in-flight state-frame
-	// cap; a nonzero value asks the receiver for watermark acks. Old
-	// peers leave it zero, which disables windowing toward them.
-	Window int `json:"window,omitempty"`
+	// cap; a nonzero value asks the receiver for watermark acks. Zero
+	// disables windowing toward the sender.
+	Window int
 	// Compress (hello only) offers/accepts per-frame compression. The
 	// edge offers its configured preference; the master replies with
 	// the conjunction, so both sides agree.
-	Compress bool `json:"compress,omitempty"`
+	Compress bool
 	// Acked (ack only) is the number of state frames acknowledged.
-	Acked int `json:"acked,omitempty"`
+	Acked int
+}
+
+// frameSizeHint bounds the payload appendFrame writes for f.
+func frameSizeHint(f *frame) int {
+	return 2 + 3*binary.MaxVarintLen64 + 1 + len(f.From) +
+		crdt.VectorsSizeHint(f.Heads) + crdt.ComponentsSizeHint(f.Delta)
+}
+
+// appendFrame appends f's payload encoding to dst. Into a buffer grown
+// to frameSizeHint it allocates nothing.
+func appendFrame(dst []byte, f *frame) []byte {
+	dst = append(dst, wireVersion, byte(f.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(f.From)))
+	dst = append(dst, f.From...)
+	dst = crdt.AppendVectors(dst, f.Heads)
+	dst = crdt.AppendComponents(dst, f.Delta)
+	dst = binary.AppendVarint(dst, int64(f.Window))
+	compress := byte(0)
+	if f.Compress {
+		compress = 1
+	}
+	dst = append(dst, compress)
+	return binary.AppendVarint(dst, int64(f.Acked))
+}
+
+// errFrameFormat is wrapped by every frame decoding failure.
+var errFrameFormat = errors.New("statesync: malformed frame")
+
+// decodeFrame parses one payload. It reads heads and delta straight out
+// of b, and fails — never panics — on any input appendFrame could not
+// have produced.
+func decodeFrame(b []byte) (*frame, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("%w: empty payload", errFrameFormat)
+	}
+	if b[0] != wireVersion {
+		if b[0] == '{' {
+			return nil, fmt.Errorf("%w: peer sent a JSON frame; this build speaks binary wire version %d",
+				errFrameFormat, wireVersion)
+		}
+		return nil, fmt.Errorf("%w: peer speaks wire version %d, want %d", errFrameFormat, b[0], wireVersion)
+	}
+	d := frameDecoder{b: b[1:]}
+	f := &frame{Kind: frameKind(d.byte())}
+	f.From = string(d.take(d.uvarint()))
+	heads, n, err := crdt.ReadVectors(d.b)
+	d.note(err, n)
+	delta, n, err := crdt.ReadComponents(d.b)
+	d.note(err, n)
+	f.Heads, f.Delta = heads, delta
+	f.Window = int(d.varint())
+	switch d.byte() {
+	case 0:
+	case 1:
+		f.Compress = true
+	default:
+		d.fail("compress flag is not 0 or 1")
+	}
+	f.Acked = int(d.varint())
+	if d.err == nil && len(d.b) > 0 {
+		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return f, nil
+}
+
+// frameDecoder is a cursor with a sticky error: after the first failure
+// every read returns a zero value, so decodeFrame checks once at the
+// end.
+type frameDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *frameDecoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", errFrameFormat, what)
+	}
+	d.b = nil
+}
+
+// note consumes n bytes read by a crdt decoder, or records its error.
+func (d *frameDecoder) note(err error, n int) {
+	if err != nil {
+		if d.err == nil {
+			d.err = fmt.Errorf("%w: %w", errFrameFormat, err)
+		}
+		d.b = nil
+		return
+	}
+	d.b = d.b[n:]
+}
+
+func (d *frameDecoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("truncated")
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *frameDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("bad uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *frameDecoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *frameDecoder) take(n uint64) []byte {
+	if n > uint64(len(d.b)) {
+		d.fail("length overruns payload")
+		return nil
+	}
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
 }
 
 // maxFrameBytes bounds a frame to keep a misbehaving peer from forcing
@@ -64,6 +230,22 @@ const maxFrameBytes = 64 << 20
 // so they never see one.
 const frameCompressed = 1 << 31
 
+// putFrame encodes f as one wire blob — length word, then payload —
+// into eb, grown once to the size hint, and returns the blob (aliasing
+// eb).
+func putFrame(eb *crdt.EncodeBuffer, f *frame) ([]byte, error) {
+	if hint := 4 + frameSizeHint(f); cap(eb.B) < hint {
+		eb.B = make([]byte, 0, hint)
+	}
+	eb.B = appendFrame(append(eb.B[:0], 0, 0, 0, 0), f)
+	size := len(eb.B) - 4
+	if size > maxFrameBytes {
+		return nil, fmt.Errorf("statesync: frame of %d bytes exceeds limit", size)
+	}
+	binary.BigEndian.PutUint32(eb.B, uint32(size))
+	return eb.B, nil
+}
+
 // writeFrame encodes f as one length-prefixed write and returns the
 // bytes actually written — on a partial write the count reflects what
 // reached the wire, so traffic accounting stays truthful. Framing the
@@ -72,22 +254,20 @@ const frameCompressed = 1 << 31
 // never half of one). Handshake frames use it directly; established
 // sessions write through a wireConn.
 func writeFrame(w io.Writer, f *frame) (int, error) {
-	payload, err := json.Marshal(f)
+	eb := crdt.GetEncodeBuffer()
+	defer eb.Release()
+	blob, err := putFrame(eb, f)
 	if err != nil {
-		return 0, fmt.Errorf("statesync: encoding frame: %w", err)
+		return 0, err
 	}
-	if len(payload) > maxFrameBytes {
-		return 0, fmt.Errorf("statesync: frame of %d bytes exceeds limit", len(payload))
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	return w.Write(buf)
+	return w.Write(blob)
 }
 
 // readFrame reads one frame, transparently inflating compressed
 // payloads. The returned byte count is wire bytes (compressed size), so
-// traffic accounting reflects what actually crossed the network.
+// traffic accounting reflects what actually crossed the network. The
+// payload is read into a pooled buffer: decodeFrame copies out every
+// string and byte slice, so the frame it returns aliases nothing.
 func readFrame(r io.Reader) (*frame, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -99,7 +279,12 @@ func readFrame(r io.Reader) (*frame, int, error) {
 	if size > maxFrameBytes {
 		return nil, 0, fmt.Errorf("statesync: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, size)
+	eb := crdt.GetEncodeBuffer()
+	defer eb.Release()
+	if cap(eb.B) < int(size) {
+		eb.B = make([]byte, size)
+	}
+	payload := eb.B[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, 0, err
 	}
@@ -117,11 +302,11 @@ func readFrame(r io.Reader) (*frame, int, error) {
 		}
 		payload = inflated
 	}
-	var f frame
-	if err := json.Unmarshal(payload, &f); err != nil {
-		return nil, 0, fmt.Errorf("statesync: decoding frame: %w", err)
+	f, err := decodeFrame(payload)
+	if err != nil {
+		return nil, 0, err
 	}
-	return &f, int(size) + 4, nil
+	return f, int(size) + 4, nil
 }
 
 // wireConn wraps an established (post-hello) connection with the
@@ -174,40 +359,34 @@ func newWireConn(c net.Conn, cfg TCPConfig, peer *frame) *wireConn {
 }
 
 // encodeWireFrame serializes f into one wire blob (length word +
-// payload), compressing when negotiated and worthwhile. Callers hold
-// w.wmu. It reports whether the frame went out compressed.
-func (w *wireConn) encodeWireFrame(f *frame) ([]byte, bool, error) {
-	payload, err := json.Marshal(f)
+// payload) in a pooled buffer, compressing when negotiated and
+// worthwhile. The caller holds w.wmu and releases the buffer once the
+// blob is written. It reports whether the frame went out compressed.
+func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
+	eb := crdt.GetEncodeBuffer()
+	blob, err := putFrame(eb, f)
 	if err != nil {
-		return nil, false, fmt.Errorf("statesync: encoding frame: %w", err)
+		eb.Release()
+		return nil, false, err
 	}
-	if len(payload) > maxFrameBytes {
-		return nil, false, fmt.Errorf("statesync: frame of %d bytes exceeds limit", len(payload))
+	payload := blob[4:]
+	if !w.compress || len(payload) < w.minCompress {
+		return eb, false, nil
 	}
-	compressed := false
-	if w.compress && len(payload) >= w.minCompress {
-		if w.fw == nil {
-			// BestSpeed: the goal is shipping fewer bytes per syscall on
-			// large CRDT-Files payloads, not maximal ratio.
-			w.fw, _ = flate.NewWriter(nil, flate.BestSpeed)
-		}
-		w.cbuf.Reset()
-		w.fw.Reset(&w.cbuf)
-		if _, err := w.fw.Write(payload); err == nil && w.fw.Close() == nil {
-			if w.cbuf.Len() < len(payload) {
-				payload = append([]byte(nil), w.cbuf.Bytes()...)
-				compressed = true
-			}
-		}
+	if w.fw == nil {
+		// BestSpeed: the goal is shipping fewer bytes per syscall on
+		// large CRDT-Files payloads, not maximal ratio.
+		w.fw, _ = flate.NewWriter(nil, flate.BestSpeed)
 	}
-	buf := make([]byte, 4+len(payload))
-	word := uint32(len(payload))
-	if compressed {
-		word |= frameCompressed
+	w.cbuf.Reset()
+	w.fw.Reset(&w.cbuf)
+	if _, err := w.fw.Write(payload); err != nil || w.fw.Close() != nil || w.cbuf.Len() >= len(payload) {
+		return eb, false, nil
 	}
-	binary.BigEndian.PutUint32(buf, word)
-	copy(buf[4:], payload)
-	return buf, compressed, nil
+	// Smaller than the payload, so it overwrites it in place.
+	eb.B = append(eb.B[:4], w.cbuf.Bytes()...)
+	binary.BigEndian.PutUint32(eb.B, uint32(w.cbuf.Len())|frameCompressed)
+	return eb, true, nil
 }
 
 // writeFrames ships the given frames in one vectored write (writev on a
@@ -220,29 +399,34 @@ func (w *wireConn) encodeWireFrame(f *frame) ([]byte, bool, error) {
 func (w *wireConn) writeFrames(frames ...*frame) (int, int, int, error) {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
+	ebufs := make([]*crdt.EncodeBuffer, 0, len(frames))
+	defer func() {
+		for _, eb := range ebufs {
+			eb.Release()
+		}
+	}()
 	bufs := make(net.Buffers, 0, len(frames))
-	sizes := make([]int, 0, len(frames))
 	comps := make([]bool, 0, len(frames))
 	for _, f := range frames {
-		blob, comp, err := w.encodeWireFrame(f)
+		eb, comp, err := w.encodeWireFrame(f)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		bufs = append(bufs, blob)
-		sizes = append(sizes, len(blob))
+		ebufs = append(ebufs, eb)
+		bufs = append(bufs, eb.B)
 		comps = append(comps, comp)
 	}
-	// WriteTo consumes bufs, so frame attribution works off the saved
-	// sizes: a frame counts as sent only when every one of its bytes is
-	// covered by n.
+	// WriteTo consumes bufs, so frame attribution works off the encode
+	// buffers: a frame counts as sent only when every one of its bytes
+	// is covered by n.
 	n, err := bufs.WriteTo(w.c)
 	sent, compressed := 0, 0
 	rem := int(n)
-	for i, sz := range sizes {
-		if rem < sz {
+	for i, eb := range ebufs {
+		if rem < len(eb.B) {
 			break
 		}
-		rem -= sz
+		rem -= len(eb.B)
 		sent++
 		if comps[i] {
 			compressed++

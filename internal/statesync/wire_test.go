@@ -96,11 +96,12 @@ func TestWriteFramesPartialWriteAccounting(t *testing.T) {
 	sizer := &wireConn{}
 	var sizes []int
 	for _, f := range frames {
-		blob, _, err := sizer.encodeWireFrame(f)
+		eb, _, err := sizer.encodeWireFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, len(blob))
+		sizes = append(sizes, len(eb.B))
+		eb.Release()
 	}
 
 	// Budget covers frame 0 plus part of frame 1.
