@@ -4,7 +4,7 @@
 // reporting latency, throughput, WAN traffic, and energy.
 //
 // With -scale it instead runs the closed-loop scale simulator: the same
-// deterministic client fleet against the flat star and the sharded
+// deterministic client fleet against the flat star and the two-tier
 // relay fabric across a sweep of edge counts, writing the
 // BENCH_scale.json scaling report.
 //

@@ -60,7 +60,6 @@ import (
 	"repro/internal/httpapp"
 	"repro/internal/obs"
 	"repro/internal/placement"
-	"repro/internal/script"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -81,12 +80,7 @@ func main() {
 	placementOn := flag.Bool("placement", false, "run the Datalog placement control loop in the observed deployment (with -trace/-metrics)")
 	placementRules := flag.String("placement-rules", "", "placement rule program file (default: built-in policy)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the life of the run")
-	treeWalk := flag.Bool("tree-walk", false, "run service scripts on the tree-walking reference evaluator instead of the bytecode VM")
 	flag.Parse()
-
-	if *treeWalk {
-		script.SetReferenceEvalDefault(true)
-	}
 
 	if *pprofAddr != "" {
 		// The profiling endpoint lives for the whole process; runs are

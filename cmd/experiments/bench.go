@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datalog"
+	"repro/internal/provenance"
 	"repro/internal/workload"
 )
 
@@ -18,8 +18,7 @@ import (
 // trajectory of the transformation pipeline and its Datalog solver,
 // recorded from PR 1 onward so regressions are visible in review.
 type benchReport struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
+	provenance.Provenance
 
 	Pipeline struct {
 		Subject        string  `json:"subject"`
@@ -104,9 +103,7 @@ func runBench(outPath string) error {
 	naive := benchJoin(true)
 	indexed := benchJoin(false)
 
-	var rep benchReport
-	rep.NumCPU = runtime.NumCPU()
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep := benchReport{Provenance: provenance.Current()}
 	rep.Pipeline.Subject = sub.Name
 	rep.Pipeline.SequentialNsOp = seqRes.NsPerOp()
 	rep.Pipeline.ParallelNsOp = parRes.NsPerOp()

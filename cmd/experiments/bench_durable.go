@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/crdt"
 	"repro/internal/durable"
+	"repro/internal/provenance"
 )
 
 // durableReport is the schema of BENCH_durable.json: the WAL append
@@ -17,6 +18,7 @@ import (
 // log grows. Recorded so durability-layer regressions are visible in
 // review alongside BENCH_pipeline.json.
 type durableReport struct {
+	provenance.Provenance
 	Append []appendBench `json:"append"`
 	// Recovery is the Open() cost as a function of WAL length, measured
 	// on logs written without compaction (worst case: full replay).
@@ -128,7 +130,7 @@ func runBenchDurable(outPath string) error {
 	}
 	defer os.RemoveAll(dir)
 
-	var rep durableReport
+	rep := durableReport{Provenance: provenance.Current()}
 	for _, policy := range []durable.FsyncPolicy{durable.FsyncAlways, durable.FsyncInterval, durable.FsyncNever} {
 		res, err := benchAppend(dir, policy)
 		if err != nil {

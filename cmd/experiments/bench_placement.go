@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/httpapp"
 	"repro/internal/placement"
+	"repro/internal/provenance"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -20,8 +21,7 @@ import (
 // convergence behaviour (rounds from a workload shift to a stable
 // assignment) on a live deployment.
 type placementReport struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
+	provenance.Provenance
 
 	// Decisions holds one row per synthetic topology size.
 	Decisions []placementDecisionRow `json:"decisions"`
@@ -218,9 +218,7 @@ func benchConvergence() ([]placementConvergenceRow, error) {
 // runBenchPlacement measures the placement engine and writes the report
 // to outPath.
 func runBenchPlacement(outPath string) error {
-	var rep placementReport
-	rep.NumCPU = runtime.NumCPU()
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep := placementReport{Provenance: provenance.Current()}
 
 	for _, tc := range []struct{ services, edges int }{
 		{6, 4}, {50, 16}, {200, 64},

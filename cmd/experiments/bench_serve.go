@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/httpapp"
+	"repro/internal/provenance"
 	"repro/internal/script"
 	"repro/internal/simclock"
 	"repro/internal/workload"
@@ -22,8 +23,7 @@ import (
 // tree-walking reference evaluator, per example app, plus the VM's
 // own counters for the run.
 type serveReport struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
+	provenance.Provenance
 
 	// Serve holds one row per benchmarked subject service.
 	Serve []serveRow `json:"serve"`
@@ -283,9 +283,7 @@ func serviceByPath(subj workload.Subject, path string) (int, error) {
 // the interpreter is a small fraction of the request and the two
 // evaluators converge.
 func runBenchServe(outPath string) error {
-	var rep serveReport
-	rep.NumCPU = runtime.NumCPU()
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep := serveReport{Provenance: provenance.Current()}
 
 	cases := []struct {
 		subject string

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/crdt"
 	"repro/internal/durable"
+	"repro/internal/provenance"
 	"repro/internal/statesync"
 )
 
@@ -21,12 +20,7 @@ import (
 // encoding, and TCP replication throughput across frame batch sizes
 // and compression settings.
 type statesyncReport struct {
-	// Provenance: the host and the source revision the numbers come
-	// from.
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	Commit     string `json:"commit"`
+	provenance.Provenance
 
 	// GroupCommit is Append throughput on one FsyncAlways store vs
 	// concurrent writer count; the writers=8 over writers=1 ratio is the
@@ -229,12 +223,7 @@ func benchTCP(changes, batch int, compression bool) (tcpBench, error) {
 // runBenchStatesync measures the replication path and writes the
 // report to outPath.
 func runBenchStatesync(outPath string) error {
-	rep := statesyncReport{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Commit:     sourceCommit(),
-	}
+	rep := statesyncReport{Provenance: provenance.Current()}
 
 	gcDir, err := os.MkdirTemp("", "edgstr-bench-gc-")
 	if err != nil {
@@ -291,28 +280,4 @@ func runBenchStatesync(outPath string) error {
 	}
 	fmt.Println("wrote", outPath)
 	return nil
-}
-
-// sourceCommit is the VCS revision stamped into this binary, suffixed
-// "+modified" when it was built from a tree with uncommitted changes,
-// or "unknown" when the build carries no VCS stamp (go run, or a tree
-// outside git).
-func sourceCommit() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	rev, modified := "unknown", false
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value == "true"
-		}
-	}
-	if modified && rev != "unknown" {
-		rev += "+modified"
-	}
-	return rev
 }

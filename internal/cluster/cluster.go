@@ -300,37 +300,11 @@ type Balancer struct {
 	servers []*Server
 	policy  Policy
 	rrNext  int
-	// draining servers are excluded from routing while they finish
-	// their in-flight requests — the elasticity controller drains a
-	// replica to zero connections before parking it, so no request is
-	// ever dropped by a scale-down.
-	draining map[*Server]bool
 }
 
 // NewBalancer returns a balancer over the given servers.
 func NewBalancer(policy Policy, servers ...*Server) *Balancer {
-	return &Balancer{servers: servers, policy: policy, draining: map[*Server]bool{}}
-}
-
-// SetDraining marks or unmarks a server as draining. Draining servers
-// keep serving their in-flight requests but receive no new ones.
-func (b *Balancer) SetDraining(s *Server, draining bool) {
-	if draining {
-		b.draining[s] = true
-	} else {
-		delete(b.draining, s)
-	}
-}
-
-// IsDraining reports whether a server is excluded from routing.
-func (b *Balancer) IsDraining(s *Server) bool { return b.draining[s] }
-
-// DrainingCount returns how many servers are currently draining.
-func (b *Balancer) DrainingCount() int { return len(b.draining) }
-
-// routable reports whether the balancer may send new work to s.
-func (b *Balancer) routable(s *Server) bool {
-	return s.Node.Active() && !b.draining[s]
+	return &Balancer{servers: servers, policy: policy}
 }
 
 // Servers returns the managed servers.
@@ -359,12 +333,12 @@ func (b *Balancer) TotalConns() int {
 	return n
 }
 
-// Pick selects a server for the next request. With no routable server
-// (empty balancer, everything parked or draining) it returns
-// ErrNoActiveServer rather than panicking, and a RoundRobin pick that
-// skipped draining servers keeps its rotation position anchored to the
-// server actually chosen, so un-draining a server never replays the
-// rotation from a stale offset.
+// Pick selects a server for the next request. With no active server
+// (empty balancer, everything parked) it returns ErrNoActiveServer
+// rather than panicking, and a RoundRobin pick that skipped parked
+// servers keeps its rotation position anchored to the server actually
+// chosen, so unparking a server never replays the rotation from a stale
+// offset.
 func (b *Balancer) Pick() (*Server, error) {
 	return b.PickWhere(func(*Server) bool { return true })
 }
@@ -382,9 +356,9 @@ func (b *Balancer) PickWhere(pred func(*Server) bool) (*Server, error) {
 		for i := 0; i < len(b.servers); i++ {
 			idx := (b.rrNext + i) % len(b.servers)
 			s := b.servers[idx]
-			if b.routable(s) && pred(s) {
+			if s.Node.Active() && pred(s) {
 				// Advance from the chosen slot, not the scan start, so
-				// skipped (draining) servers don't shift the rotation.
+				// skipped (parked) servers don't shift the rotation.
 				b.rrNext = (idx + 1) % len(b.servers)
 				return s, nil
 			}
@@ -394,7 +368,7 @@ func (b *Balancer) PickWhere(pred func(*Server) bool) (*Server, error) {
 		var best *Server
 		bestConns := 0
 		for _, s := range b.servers {
-			if !b.routable(s) || !pred(s) {
+			if !s.Node.Active() || !pred(s) {
 				continue
 			}
 			if c := s.ActiveConns(); best == nil || c < bestConns {

@@ -164,18 +164,52 @@ func TestBalancerNoRoutableServer(t *testing.T) {
 		}
 		b := NewBalancer(policy, servers...)
 		for _, s := range servers {
-			b.SetDraining(s, true)
+			s.Node.SetActive(false)
 		}
 		if s, err := b.Pick(); s != nil || !errors.Is(err, ErrNoActiveServer) {
-			t.Fatalf("policy %v all-draining: %v, %v", policy, s, err)
+			t.Fatalf("policy %v all-parked: %v, %v", policy, s, err)
 		}
 		if s, err := b.PickWhere(func(*Server) bool { return true }); s != nil || !errors.Is(err, ErrNoActiveServer) {
-			t.Fatalf("policy %v all-draining PickWhere: %v, %v", policy, s, err)
+			t.Fatalf("policy %v all-parked PickWhere: %v, %v", policy, s, err)
 		}
 	}
 }
 
-func TestRoundRobinSkipsDrainingKeepsRotation(t *testing.T) {
+// TestPickWhereEdgeCases covers the balancer's empty and exhausted
+// candidate sets under both policies: no servers at all, every server
+// parked, and a predicate rejecting everything.
+func TestPickWhereEdgeCases(t *testing.T) {
+	clock := simclock.New()
+	anyServer := func(*Server) bool { return true }
+	for _, policy := range []Policy{LeastConnections, RoundRobin} {
+		empty := NewBalancer(policy)
+		if _, err := empty.PickWhere(anyServer); !errors.Is(err, ErrNoActiveServer) {
+			t.Fatalf("policy %v: empty balancer: err = %v, want ErrNoActiveServer", policy, err)
+		}
+
+		servers := []*Server{
+			NewServer("s0", NewNode(clock, RPi4Spec), newWorkApp(t)),
+			NewServer("s1", NewNode(clock, RPi4Spec), newWorkApp(t)),
+		}
+		b := NewBalancer(policy, servers...)
+		for _, s := range servers {
+			s.Node.SetActive(false)
+		}
+		if _, err := b.PickWhere(anyServer); !errors.Is(err, ErrNoActiveServer) {
+			t.Fatalf("policy %v: all-parked: err = %v, want ErrNoActiveServer", policy, err)
+		}
+		servers[0].Node.SetActive(true)
+		if s, err := b.PickWhere(anyServer); err != nil || s != servers[0] {
+			t.Fatalf("policy %v: unparked server not picked (err=%v)", policy, err)
+		}
+		servers[1].Node.SetActive(true)
+		if _, err := b.PickWhere(func(*Server) bool { return false }); !errors.Is(err, ErrNoActiveServer) {
+			t.Fatalf("policy %v: reject-all predicate: err = %v, want ErrNoActiveServer", policy, err)
+		}
+	}
+}
+
+func TestRoundRobinSkipsParkedKeepsRotation(t *testing.T) {
 	clock := simclock.New()
 	var servers []*Server
 	for i := 0; i < 3; i++ {
@@ -193,25 +227,25 @@ func TestRoundRobinSkipsDrainingKeepsRotation(t *testing.T) {
 	if pick() != servers[0] || pick() != servers[1] || pick() != servers[2] {
 		t.Fatal("initial rotation broken")
 	}
-	// Drain s1: rotation alternates s0/s2 without skipping either.
-	b.SetDraining(servers[1], true)
+	// Park s1: rotation alternates s0/s2 without skipping either.
+	servers[1].Node.SetActive(false)
 	got := []*Server{pick(), pick(), pick(), pick()}
 	want := []*Server{servers[0], servers[2], servers[0], servers[2]}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("draining rotation pick %d = %s, want %s", i, got[i].Name, want[i].Name)
+			t.Fatalf("parked rotation pick %d = %s, want %s", i, got[i].Name, want[i].Name)
 		}
 	}
-	// Un-drain: rotation resumes from the last chosen slot (s2 was the
+	// Unpark: rotation resumes from the last chosen slot (s2 was the
 	// last pick, so s0, then s1 rejoins in order).
-	b.SetDraining(servers[1], false)
+	servers[1].Node.SetActive(true)
 	if pick() != servers[0] || pick() != servers[1] || pick() != servers[2] {
-		t.Fatal("rotation lost position after un-draining")
+		t.Fatal("rotation lost position after unparking")
 	}
 }
 
 func TestActiveConnsReadableMidFlight(t *testing.T) {
-	// The fleet scaler reads connection counts from its own goroutine
+	// A controller may read connection counts from its own goroutine
 	// while requests are in flight; under -race this fails if conns is
 	// not atomic.
 	clock := simclock.New()

@@ -60,16 +60,6 @@ type DeployConfig struct {
 	// facts. The zero value keeps the static every-service-everywhere
 	// placement.
 	Placement PlacementConfig
-	// Sharding replaces the flat star topology with the sharded sync
-	// fabric: edges grouped behind relays, the master shipping each
-	// delta once per group (TransportVirtual only). The zero value keeps
-	// the per-edge star.
-	Sharding ShardingConfig
-	// Fleet runs the elasticity controller that powers replicas down on
-	// idle (suspending their synchronization) and back up under load
-	// via the durable re-handshake path (TransportVirtual only). The
-	// zero value keeps every replica always on.
-	Fleet FleetConfig
 	// Reads configures the analysis-guided concurrent serve path. The
 	// zero value enables it: routes the analysis classified read-only
 	// (plus, for routes no traffic exercised, the static fallback) run
@@ -107,9 +97,6 @@ type EdgeReplica struct {
 	Server  *cluster.Server
 	Binding *statesync.Binding
 	State   *statesync.ReplicaState
-	// Group is the edge's fabric group under a sharded deployment (""
-	// under the flat star topology).
-	Group string
 	// WAN is the replica's private link to the cloud (used for failure
 	// forwarding and, under TransportVirtual, synchronization).
 	WAN *netem.Duplex
@@ -138,14 +125,8 @@ type Deployment struct {
 	Balancer *cluster.Balancer
 	// Sync is the virtual-time synchronization manager (nil under
 	// TransportTCP, where TCPMaster and the per-edge TCP handles own the
-	// protocol instead, and under Sharding, where the Fabric does).
+	// protocol instead).
 	Sync *statesync.Manager
-	// Fabric is the sharded relay/fan-out synchronization runtime (nil
-	// unless DeployConfig.Sharding.Enabled).
-	Fabric *statesync.Fabric
-	// Fleet is the elasticity controller (nil unless
-	// DeployConfig.Fleet.Enabled).
-	Fleet *cluster.FleetScaler
 	// TCPMaster is the cloud's TCP listener under TransportTCP (nil
 	// otherwise).
 	TCPMaster *statesync.TCPMaster
@@ -283,14 +264,7 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 	}
 	var mgr *statesync.Manager
 	var tcpCfg statesync.TCPConfig
-	shardCfg := cfg.Sharding.withDefaults(len(cfg.EdgeSpecs))
 	if cfg.Transport == TransportTCP {
-		if cfg.Sharding.Enabled {
-			return cleanup(fmt.Errorf("core: sharding requires TransportVirtual"))
-		}
-		if cfg.Fleet.Enabled {
-			return cleanup(fmt.Errorf("core: fleet elasticity requires TransportVirtual"))
-		}
 		tcpCfg = cfg.TCP
 		if tcpCfg.Interval == 0 {
 			tcpCfg.Interval = cfg.SyncInterval
@@ -308,10 +282,6 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 		cloudServer.WrapInvoke = master.Do
 		cloudServer.WrapRead = master.RDo
 		d.TCPMaster = master
-	} else if cfg.Sharding.Enabled {
-		if err := buildFabric(d, cfg, shardCfg, masterEP); err != nil {
-			return cleanup(err)
-		}
 	} else {
 		mgr, err = statesync.NewManager(clock, masterEP, cfg.SyncInterval)
 		if err != nil {
@@ -384,17 +354,6 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 			server.WrapInvoke = tcpEdge.Do
 			server.WrapRead = tcpEdge.RDo
 			edge.TCP = tcpEdge
-		} else if d.Fabric != nil {
-			// The edge syncs over its group LAN to the relay; the WAN
-			// duplex stays dedicated to request forwarding.
-			edge.Group = fabricGroupName(groupIndexFor(i, len(cfg.EdgeSpecs), shardCfg.Groups))
-			lan, err := netem.NewDuplex(clock, shardCfg.GroupLAN, int64(3000+i))
-			if err != nil {
-				return cleanup(err)
-			}
-			if err := d.Fabric.AttachEdge(edge.Group, name, lan, "app", ep); err != nil {
-				return cleanup(err)
-			}
 		} else if err := mgr.AddEdge(ep, wan); err != nil {
 			return cleanup(err)
 		}
@@ -411,17 +370,8 @@ func DeployContext(ctx context.Context, clock *simclock.Clock, res *Result, cfg 
 		d.Placement = pr
 		pr.Start()
 	}
-	if cfg.Fleet.Enabled {
-		if err := buildFleet(d, cfg.Fleet.withDefaults()); err != nil {
-			return cleanup(err)
-		}
-		d.Fleet.Start()
-	}
 	if mgr != nil {
 		mgr.Start()
-	}
-	if d.Fabric != nil {
-		d.Fabric.Start()
 	}
 	return d, nil
 }
@@ -615,9 +565,6 @@ func (d *Deployment) Converged() bool {
 		})
 		return ok
 	}
-	if d.Fabric != nil {
-		return d.Fabric.Converged()
-	}
 	return d.Sync.Converged()
 }
 
@@ -652,9 +599,6 @@ func (d *Deployment) Stop() {
 	if d.Placement != nil {
 		d.Placement.Stop()
 	}
-	if d.Fleet != nil {
-		d.Fleet.Stop()
-	}
 	if d.TCPMaster != nil {
 		for _, e := range d.Edges {
 			if e.TCP != nil {
@@ -662,9 +606,6 @@ func (d *Deployment) Stop() {
 			}
 		}
 		_ = d.TCPMaster.Close()
-		d.Clock.Run()
-	} else if d.Fabric != nil {
-		d.Fabric.Stop()
 		d.Clock.Run()
 	} else {
 		d.Sync.Stop()

@@ -39,44 +39,6 @@ type Observation struct {
 	// Placement is the placement control loop's latest decision record;
 	// present only when the deployment runs with a placement controller.
 	Placement *PlacementObservation `json:"placement,omitempty"`
-	// Shard is the sharded sync fabric's topology and traffic record;
-	// present only under DeployConfig.Sharding.
-	Shard *ShardObservation `json:"shard,omitempty"`
-	// Fleet is the elasticity controller's record; present only under
-	// DeployConfig.Fleet.
-	Fleet *FleetObservation `json:"fleet,omitempty"`
-}
-
-// ShardObservation is the sync fabric's snapshot: the shard map, the
-// per-group traffic split, and the cumulative fabric statistics
-// (master-vs-relay byte accounting, rebalances, duplicate applies).
-type ShardObservation struct {
-	// Groups lists the fabric's edge groups in registration order.
-	Groups []string `json:"groups"`
-	// Assignment maps store name to its owner groups (primary first).
-	Assignment map[string][]string `json:"assignment"`
-	// GroupBytes maps group name to the bytes shipped over its links.
-	GroupBytes map[string]int64 `json:"group_bytes"`
-	// Draining counts stores still draining off losing groups after a
-	// rebalance (0 once every move converged).
-	Draining int `json:"draining"`
-	// Rebalances counts recorded rebalance events.
-	Rebalances int `json:"rebalances"`
-	// Stats is the fabric's cumulative traffic accounting.
-	Stats statesync.FabricStats `json:"stats"`
-}
-
-// FleetObservation is the elasticity controller's snapshot.
-type FleetObservation struct {
-	// ActiveReplicas counts powered-up edge nodes; Want is the size the
-	// demand window currently calls for.
-	ActiveReplicas int `json:"active_replicas"`
-	Want           int `json:"want"`
-	// Transitions counts sizing decisions that changed the serving set;
-	// Parks and Unparks count completed power transitions.
-	Transitions int `json:"transitions"`
-	Parks       int `json:"parks"`
-	Unparks     int `json:"unparks"`
 }
 
 // BindingObservation is one node's outbound mirror failure record.
@@ -155,8 +117,6 @@ type EdgeObservation struct {
 	// Active reports whether the node is powered up (the elasticity
 	// controller parks idle replicas in low-power mode).
 	Active bool `json:"active"`
-	// Group is the edge's fabric group under a sharded deployment.
-	Group string `json:"group,omitempty"`
 	// EnergyJ is the node's cumulative energy in joules; PowerState is
 	// its meter state (active / low-power / off). Parked replicas keep
 	// accruing at their low-power wattage, so the fleet's energy saving
@@ -195,57 +155,6 @@ func observeVM(o *obs.Obs) {
 	o.Gauge("script.frames_allocated").Set(float64(vs.FramesAllocated))
 }
 
-// observeShard snapshots the fabric and mirrors the record into the
-// metrics registry as the shard.* family (OBSERVABILITY.md).
-func observeShard(d *Deployment) *ShardObservation {
-	st := d.Fabric.Stats()
-	so := &ShardObservation{
-		Groups:     d.Fabric.GroupNames(),
-		Assignment: d.Fabric.Assignment(),
-		GroupBytes: d.Fabric.GroupBytes(),
-		Draining:   d.Fabric.Draining(),
-		Rebalances: len(d.Fabric.Events()),
-		Stats:      st,
-	}
-	if o := d.Obs; o != nil {
-		o.Gauge("shard.groups").Set(float64(len(so.Groups)))
-		o.Gauge("shard.stores").Set(float64(len(d.Fabric.StoreNames())))
-		o.Gauge("shard.rebalances").Set(float64(st.Rebalances))
-		o.Gauge("shard.stores_moved").Set(float64(st.StoresMoved))
-		o.Gauge("shard.draining").Set(float64(so.Draining))
-		o.Gauge("shard.master_egress_bytes").Set(float64(st.MasterEgressBytes))
-		o.Gauge("shard.master_ingress_bytes").Set(float64(st.MasterIngressBytes))
-		o.Gauge("shard.relay_fanout_bytes").Set(float64(st.RelayFanoutBytes))
-		o.Gauge("shard.relay_up_bytes").Set(float64(st.RelayUpBytes))
-		o.Gauge("shard.duplicate_applies").Set(float64(st.DuplicateApplies))
-		o.Gauge("shard.pairs_skipped").Set(float64(st.PairsSkipped))
-		for g, n := range so.GroupBytes {
-			o.Gauge("shard.group_bytes." + g).Set(float64(n))
-		}
-	}
-	return so
-}
-
-// observeFleet snapshots the elasticity controller and mirrors it into
-// the fleet.* metric family.
-func observeFleet(d *Deployment) *FleetObservation {
-	fo := &FleetObservation{
-		ActiveReplicas: d.Balancer.ActiveCount(),
-		Want:           d.Fleet.Want(),
-		Transitions:    d.Fleet.Transitions(),
-		Parks:          d.Fleet.Parks(),
-		Unparks:        d.Fleet.Unparks(),
-	}
-	if o := d.Obs; o != nil {
-		o.Gauge("fleet.active_replicas").Set(float64(fo.ActiveReplicas))
-		o.Gauge("fleet.want").Set(float64(fo.Want))
-		o.Gauge("fleet.transitions").Set(float64(fo.Transitions))
-		o.Gauge("fleet.parks").Set(float64(fo.Parks))
-		o.Gauge("fleet.unparks").Set(float64(fo.Unparks))
-	}
-	return fo
-}
-
 // Observe captures an introspection snapshot of the deployment. It is
 // safe to call at any point in the deployment's lifetime, repeatedly,
 // and on a deployment created without observability (the trace/metrics
@@ -258,12 +167,6 @@ func Observe(d *Deployment) Observation {
 	}
 	if d.Sync != nil {
 		o.StateSync = d.Sync.Stats()
-	}
-	if d.Fabric != nil {
-		o.Shard = observeShard(d)
-	}
-	if d.Fleet != nil {
-		o.Fleet = observeFleet(d)
 	}
 	if d.Obs != nil {
 		observeVM(d.Obs)
@@ -286,7 +189,6 @@ func Observe(d *Deployment) Observation {
 			NodeServed:    e.Server.Node.Served(),
 			Utilization:   e.Server.Node.Utilization(),
 			Active:        e.Server.Node.Active(),
-			Group:         e.Group,
 			EnergyJ:       e.Server.Node.Energy.Joules(),
 			PowerState:    e.Server.Node.Energy.State().String(),
 		})

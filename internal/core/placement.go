@@ -66,12 +66,11 @@ type PlacementRuntime struct {
 	draining map[string]map[string]bool
 	// Window state: cumulative counters sampled last round, diffed each
 	// round into per-window facts.
-	lastReq        map[string]int64
-	lastJoules     map[string]float64
-	lastBytes      map[string]int64
-	lastGroupBytes map[string]int64
-	lastSyncBytes  int64
-	lastNow        time.Duration
+	lastReq       map[string]int64
+	lastJoules    map[string]float64
+	lastBytes     map[string]int64
+	lastSyncBytes int64
+	lastNow       time.Duration
 
 	rounds      int64
 	promotions  int64
@@ -94,20 +93,19 @@ func newPlacementRuntime(d *Deployment, cfg PlacementConfig) (*PlacementRuntime,
 		return nil, fmt.Errorf("core: placement: %w", err)
 	}
 	p := &PlacementRuntime{
-		d:              d,
-		cfg:            cfg,
-		ctrl:           ctrl,
-		roundsC:        d.Obs.Counter("placement.rounds"),
-		promotionsC:    d.Obs.Counter("placement.promotions"),
-		retractionsC:   d.Obs.Counter("placement.retractions"),
-		decisionMS:     d.Obs.Histogram("placement.decision_ms"),
-		enabled:        map[string]map[string]bool{},
-		draining:       map[string]map[string]bool{},
-		lastReq:        map[string]int64{},
-		lastJoules:     map[string]float64{},
-		lastBytes:      map[string]int64{},
-		lastGroupBytes: map[string]int64{},
-		lastNow:        d.Clock.Now(),
+		d:            d,
+		cfg:          cfg,
+		ctrl:         ctrl,
+		roundsC:      d.Obs.Counter("placement.rounds"),
+		promotionsC:  d.Obs.Counter("placement.promotions"),
+		retractionsC: d.Obs.Counter("placement.retractions"),
+		decisionMS:   d.Obs.Histogram("placement.decision_ms"),
+		enabled:      map[string]map[string]bool{},
+		draining:     map[string]map[string]bool{},
+		lastReq:      map[string]int64{},
+		lastJoules:   map[string]float64{},
+		lastBytes:    map[string]int64{},
+		lastNow:      d.Clock.Now(),
 	}
 	for _, e := range d.Edges {
 		p.enabled[e.Name] = map[string]bool{}
@@ -223,21 +221,9 @@ func (p *PlacementRuntime) snapshotLocked() (placement.Input, time.Duration) {
 
 	// Per-edge replication traffic: the TCP transport accounts per
 	// connection; the virtual manager accounts globally, so its window
-	// volume is attributed evenly across edges. The fabric accounts per
-	// group, attributed evenly across the group's edges below.
+	// volume is attributed evenly across edges.
 	var syncPer int64
-	var groupWindow map[string]int64
-	groupSize := map[string]int{}
-	if p.d.Fabric != nil {
-		for _, e := range p.d.Edges {
-			groupSize[e.Group]++
-		}
-		groupWindow = make(map[string]int64)
-		for g, cur := range p.d.Fabric.GroupBytes() {
-			groupWindow[g] = cur - p.lastGroupBytes[g]
-			p.lastGroupBytes[g] = cur
-		}
-	} else if p.d.Sync != nil && len(p.d.Edges) > 0 {
+	if p.d.Sync != nil && len(p.d.Edges) > 0 {
 		total := p.d.Sync.Stats().TotalBytes()
 		syncPer = (total - p.lastSyncBytes) / int64(len(p.d.Edges))
 		p.lastSyncBytes = total
@@ -261,8 +247,6 @@ func (p *PlacementRuntime) snapshotLocked() (placement.Input, time.Duration) {
 			cur := ts.BytesSent + ts.BytesReceived
 			deltaBytes = cur - p.lastBytes[e.Name]
 			p.lastBytes[e.Name] = cur
-		} else if p.d.Fabric != nil && groupSize[e.Group] > 0 {
-			deltaBytes = groupWindow[e.Group] / int64(groupSize[e.Group])
 		}
 		edges = append(edges, placement.Edge{
 			Name:       e.Name,
@@ -286,14 +270,6 @@ func (p *PlacementRuntime) snapshotLocked() (placement.Input, time.Duration) {
 		Edges:    edges,
 		Assigned: assigned,
 		Colocate: p.cfg.Colocate,
-	}
-	if p.d.Fabric != nil {
-		in.EdgeGroups = map[string]string{}
-		for _, e := range p.d.Edges {
-			in.EdgeGroups[e.Name] = e.Group
-		}
-		in.ShardOwners = p.d.Fabric.Assignment()
-		in.GroupBytes = groupWindow
 	}
 	return in, now
 }

@@ -92,16 +92,6 @@ type Input struct {
 	// Colocate lists service pairs that should land together; each pair
 	// is asserted symmetrically.
 	Colocate [][2]string
-	// Shard topology facts (all optional; present when the deployment
-	// runs the sharded sync fabric). EdgeGroups maps edge name → fabric
-	// group, asserted as edgegroup(E, G). ShardOwners maps store name →
-	// owner groups, asserted as shard(S, G). GroupBytes maps group →
-	// replication bytes this window, banded against DeltaBytesHigh into
-	// shardload(G, low|high). Custom rule programs use these to steer
-	// placement toward (or away from) busy shard groups.
-	EdgeGroups  map[string]string
-	ShardOwners map[string][]string
-	GroupBytes  map[string]int64
 }
 
 // Move is one assignment change.
@@ -306,29 +296,6 @@ func (c *Controller) loadFacts(db *datalog.DB, in Input) (int, error) {
 			if err := add("assigned", s, edge); err != nil {
 				return n, err
 			}
-		}
-	}
-	for _, e := range in.Edges {
-		if g := in.EdgeGroups[e.Name]; g != "" {
-			if err := add("edgegroup", e.Name, g); err != nil {
-				return n, err
-			}
-		}
-	}
-	for store, groups := range in.ShardOwners {
-		for _, g := range groups {
-			if err := add("shard", store, g); err != nil {
-				return n, err
-			}
-		}
-	}
-	for group, bytes := range in.GroupBytes {
-		band := "low"
-		if c.thresholds.DeltaBytesHigh > 0 && bytes >= c.thresholds.DeltaBytesHigh {
-			band = "high"
-		}
-		if err := add("shardload", group, band); err != nil {
-			return n, err
 		}
 	}
 	for _, pair := range in.Colocate {

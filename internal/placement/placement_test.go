@@ -284,56 +284,6 @@ keep(S, E) :- assigned(S, E), link(E, up).
 	}
 }
 
-// TestDecideShardFacts pins the fabric-aware fact schema: edgegroup,
-// shard, and shardload are asserted from Input and derivable by custom
-// rule programs — here, hot services land only on edges whose fabric
-// group is under replication pressure ("low"), steering new placements
-// away from groups already saturating their relay uplink.
-func TestDecideShardFacts(t *testing.T) {
-	c := mustController(t, Thresholds{HotRequests: 10, ColdRequests: 3, DeltaBytesHigh: 1000}, `
-candidate(S, E) :- load(S, hot), edgegroup(E, G), shardload(G, low), shard("app", G).
-keep(S, E) :- assigned(S, E).
-`)
-	d, err := c.Decide(Input{
-		Services: []Service{{Name: "svc", Requests: 50}},
-		Edges: []Edge{
-			{Name: "e1", Connected: true},
-			{Name: "e2", Connected: true},
-			{Name: "e3", Connected: true},
-		},
-		Assigned: map[string][]string{},
-		EdgeGroups: map[string]string{
-			"e1": "group-1", "e2": "group-1", "e3": "group-2",
-		},
-		ShardOwners: map[string][]string{"app": {"group-1", "group-2"}},
-		GroupBytes:  map[string]int64{"group-1": 5000, "group-2": 200},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// group-1 is over DeltaBytesHigh (shardload high), so only the
-	// group-2 edge qualifies.
-	if want := []Move{{Service: "svc", Edge: "e3"}}; !reflect.DeepEqual(d.Promote, want) {
-		t.Fatalf("Promote = %v, want %v", d.Promote, want)
-	}
-
-	// With group-2 also hot, no edge qualifies at all.
-	d, err = c.Decide(Input{
-		Services:    []Service{{Name: "svc", Requests: 50}},
-		Edges:       []Edge{{Name: "e3", Connected: true}},
-		Assigned:    map[string][]string{},
-		EdgeGroups:  map[string]string{"e3": "group-2"},
-		ShardOwners: map[string][]string{"app": {"group-2"}},
-		GroupBytes:  map[string]int64{"group-2": 9000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Promote) != 0 {
-		t.Fatalf("Promote = %v, want none (all groups high)", d.Promote)
-	}
-}
-
 func TestBandThresholds(t *testing.T) {
 	c := mustController(t, Thresholds{HotRequests: 10, ColdRequests: 3, HotLatencyMS: 200}, "")
 	cases := []struct {

@@ -3,12 +3,15 @@ package scalesim
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/provenance"
 )
 
 // BenchReport is the BENCH_scale.json document: star and fabric runs of
 // the same client workload across a sweep of edge counts, plus the
 // derived scaling factors the CI gate checks.
 type BenchReport struct {
+	provenance.Provenance
 	GeneratedUnix int64 `json:"generated_unix"`
 	Clients       int   `json:"clients"`
 	Seed          int64 `json:"seed"`
@@ -59,7 +62,7 @@ func Bench(bc BenchConfig) (*BenchReport, error) {
 	if progress == nil {
 		progress = func(string) {}
 	}
-	rep := &BenchReport{Clients: bc.Clients, Seed: bc.Seed, EdgePoints: bc.EdgePoints}
+	rep := &BenchReport{Provenance: provenance.Current(), Clients: bc.Clients, Seed: bc.Seed, EdgePoints: bc.EdgePoints}
 	byMode := map[Mode]map[int]*Result{ModeStar: {}, ModeFabric: {}}
 	for _, edges := range bc.EdgePoints {
 		for _, mode := range []Mode{ModeStar, ModeFabric} {

@@ -2,7 +2,7 @@
 // 10⁴–10⁶ simulated clients against 10–200 edges on one deterministic
 // virtual clock and measures how the synchronization topology scales —
 // the flat star (master ships every delta once per edge) against the
-// sharded relay fabric (once per group, relays fan out over the LAN).
+// two-tier relay fabric (once per group, relays fan out over the LAN).
 //
 // Every source of nondeterminism is pinned: a single seeded RNG
 // consumed in simclock event order, deterministic client→edge
@@ -19,7 +19,6 @@ import (
 	"repro/internal/crdt"
 	"repro/internal/metrics"
 	"repro/internal/netem"
-	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/statesync"
 )
@@ -32,7 +31,7 @@ const (
 	// ModeStar is the flat baseline: one statesync.Manager connection
 	// per edge, master egress O(edges).
 	ModeStar Mode = "star"
-	// ModeFabric is the sharded relay fabric: edges grouped behind
+	// ModeFabric is the two-tier relay fabric: edges grouped behind
 	// relays, master egress O(groups).
 	ModeFabric Mode = "fabric"
 )
@@ -73,8 +72,6 @@ type Config struct {
 	Access netem.Config
 	WAN    netem.Config
 	LAN    netem.Config
-	// VirtualNodes per group on the fabric ring (default 32).
-	VirtualNodes int
 }
 
 func (c Config) withDefaults() Config {
@@ -139,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LAN == (netem.Config{}) {
 		c.LAN = netem.LAN
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 32
 	}
 	return c
 }
@@ -240,37 +234,26 @@ func Run(cfg Config) (*Result, error) {
 		mgr.Start()
 		converged = mgr.Converged
 	case ModeFabric:
-		// Replication factor = groups: the single store broadcasts to
-		// every group, and the fabric is a pure fan-out tree.
-		f, err := statesync.NewFabric(clock, cfg.SyncInterval, cfg.VirtualNodes, cfg.Groups)
+		f, err := statesync.NewFabric(clock, cfg.SyncInterval, "app")
 		if err != nil {
 			return nil, err
 		}
-		groups := shard.ShardNames(cfg.Groups)
-		for g, name := range groups {
+		for g := 0; g < cfg.Groups; g++ {
 			uplink, err := netem.NewDuplex(clock, cfg.WAN, int64(30_000+g))
 			if err != nil {
 				return nil, err
 			}
-			if err := f.AddGroup(name, uplink); err != nil {
+			if err := f.AddGroup(groupName(g), uplink); err != nil {
 				return nil, err
 			}
 		}
-		if _, err := f.AddStore("app"); err != nil {
-			return nil, err
-		}
-		for i := range edges {
-			group := groups[i*cfg.Groups/cfg.Edges]
+		for i, e := range edges {
 			lan, err := netem.NewDuplex(clock, cfg.LAN, int64(40_000+i))
 			if err != nil {
 				return nil, err
 			}
-			if err := f.AddEdge(group, edgeName(i), lan); err != nil {
+			if e.state, err = f.AddEdge(groupName(i*cfg.Groups/cfg.Edges), edgeName(i), lan); err != nil {
 				return nil, err
-			}
-			edges[i].state = f.Edge(group, edgeName(i), "app")
-			if edges[i].state == nil {
-				return nil, fmt.Errorf("scalesim: edge %d has no app replica", i)
 			}
 		}
 		f.Start()
@@ -372,16 +355,18 @@ func Run(cfg Config) (*Result, error) {
 		st := mgr.Stats()
 		r.MasterEgressBytes = st.CloudStateBytes
 		r.MasterIngressBytes = st.EdgeStateBytes
-		r.SyncErrors = st.Errors
-	case fab != nil:
-		st := fab.Stats()
-		r.MasterEgressBytes = st.MasterEgressBytes
-		r.MasterIngressBytes = st.MasterIngressBytes
-		r.RelayFanoutBytes = st.RelayFanoutBytes
-		r.RelayUpBytes = st.RelayUpBytes
 		r.AppliedChanges = st.AppliedChanges
 		r.DuplicateApplies = st.DuplicateApplies
 		r.SyncErrors = st.Errors
+	case fab != nil:
+		st := fab.Stats()
+		r.MasterEgressBytes = st.Uplink.CloudStateBytes
+		r.MasterIngressBytes = st.Uplink.EdgeStateBytes
+		r.RelayFanoutBytes = st.Fanout.CloudStateBytes
+		r.RelayUpBytes = st.Fanout.EdgeStateBytes
+		r.AppliedChanges = st.Uplink.AppliedChanges + st.Fanout.AppliedChanges
+		r.DuplicateApplies = st.Uplink.DuplicateApplies + st.Fanout.DuplicateApplies
+		r.SyncErrors = st.Uplink.Errors + st.Fanout.Errors
 	}
 	if elapsed > 0 {
 		r.MasterEgressPerSec = float64(r.MasterEgressBytes) / elapsed
@@ -394,5 +379,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func edgeName(i int) string { return fmt.Sprintf("edge-%03d", i) }
+
+// groupName names relay group g; relay and edge actor IDs embed it.
+func groupName(g int) string { return fmt.Sprintf("shard-%02d", g) }
 
 func actorFor(i int) string { return fmt.Sprintf("edge%d", i) }

@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
 // Hooks receives Jalangi-style dynamic-analysis callbacks. Any field may
@@ -171,19 +170,9 @@ type Interp struct {
 
 // SetReferenceEval selects the evaluator used by Call: true routes
 // invocations through the tree-walking reference interpreter, false
-// (the default) through the bytecode VM. The switch exists so tests can
-// differentially compare both evaluators and so operators can fall back
-// at runtime (`edgstr -tree-walk`).
+// (the default) through the bytecode VM. The switch exists so tests and
+// the serve benchmark can compare both evaluators.
 func (in *Interp) SetReferenceEval(on bool) { in.refEval = on }
-
-// referenceEvalDefault is the process-wide default for new interpreters,
-// toggled by SetReferenceEvalDefault.
-var referenceEvalDefault atomic.Bool
-
-// SetReferenceEvalDefault makes every subsequently created interpreter
-// start on the tree-walking reference evaluator (true) or the bytecode
-// VM (false). Existing interpreters are unaffected.
-func SetReferenceEvalDefault(on bool) { referenceEvalDefault.Store(on) }
 
 // errSignal distinguishes control flow from real errors.
 type ctl int
@@ -204,7 +193,7 @@ const maxDepth = 256
 // New returns an interpreter for prog with the standard library
 // installed. Global var declarations are not evaluated until RunInit.
 func New(prog *Program) *Interp {
-	in := &Interp{prog: prog, refEval: referenceEvalDefault.Load(), defineGen: new(uint64)}
+	in := &Interp{prog: prog, defineGen: new(uint64)}
 	in.base = newBoxedEnv(nil, in.defineGen)
 	in.globals = newBoxedEnv(in.base, in.defineGen)
 	in.cfuncs = make(map[string]*compiledFunc, len(prog.Funcs))

@@ -98,8 +98,9 @@ func TestVMStatsAdvance(t *testing.T) {
 	}
 }
 
-// TestReferenceEvalSwitch checks both the per-interpreter and the
-// process-default switches select the tree-walker.
+// TestReferenceEvalSwitch checks the per-interpreter switch selects the
+// tree-walker for that instance only: a new interpreter starts on the
+// VM, and a read-only fork keeps its parent's evaluator.
 func TestReferenceEvalSwitch(t *testing.T) {
 	prog, err := Parse(`func f(n any) any { return n * 2 }`)
 	if err != nil {
@@ -115,11 +116,20 @@ func TestReferenceEvalSwitch(t *testing.T) {
 		t.Fatalf("vm f(21) = %v, %v", v, err)
 	}
 
-	SetReferenceEvalDefault(true)
-	defer SetReferenceEvalDefault(false)
+	in.SetReferenceEval(true)
 	in2 := New(prog)
+	if in2.refEval {
+		t.Fatal("new interpreter did not start on the VM")
+	}
 	if v, err := in2.Call("f", 21.0); err != nil || v != 42.0 {
-		t.Fatalf("default tree-walk f(21) = %v, %v", v, err)
+		t.Fatalf("vm f(21) = %v, %v", v, err)
+	}
+	fork := in.ReadOnlyFork()
+	if !fork.refEval {
+		t.Fatal("read-only fork dropped its parent's evaluator")
+	}
+	if v, err := fork.Call("f", 21.0); err != nil || v != 42.0 {
+		t.Fatalf("fork tree-walk f(21) = %v, %v", v, err)
 	}
 }
 

@@ -7,28 +7,29 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/shard"
 	"repro/internal/simclock"
 )
 
 const fabInterval = 100 * time.Millisecond
 
-// fabricRig builds a fabric with the given groups (each with edgesPer
-// edges) and stores, on deterministic link seeds.
+// fabricRig builds a fabric of groups, each with its edges, on
+// deterministic link seeds.
 type fabricRig struct {
-	clk  *simclock.Clock
-	fab  *Fabric
-	seed int64
+	clk     *simclock.Clock
+	fab     *Fabric
+	seed    int64
+	uplinks map[string]*netem.Duplex
+	edges   map[string]*ReplicaState // "<group>-e<i>" → edge replica
 }
 
-func newFabricRig(t *testing.T, rf int) *fabricRig {
+func newFabricRig(t *testing.T) *fabricRig {
 	t.Helper()
 	clk := simclock.New()
-	fab, err := NewFabric(clk, fabInterval, 32, rf)
+	fab, err := NewFabric(clk, fabInterval, "app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fabricRig{clk: clk, fab: fab}
+	return &fabricRig{clk: clk, fab: fab, uplinks: map[string]*netem.Duplex{}, edges: map[string]*ReplicaState{}}
 }
 
 func (r *fabricRig) duplex(t *testing.T, cfg netem.Config) *netem.Duplex {
@@ -43,29 +44,18 @@ func (r *fabricRig) duplex(t *testing.T, cfg netem.Config) *netem.Duplex {
 
 func (r *fabricRig) addGroup(t *testing.T, name string, edges int) {
 	t.Helper()
-	if err := r.fab.AddGroup(name, r.duplex(t, netem.FastWAN)); err != nil {
+	r.uplinks[name] = r.duplex(t, netem.FastWAN)
+	if err := r.fab.AddGroup(name, r.uplinks[name]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < edges; i++ {
-		if err := r.fab.AddEdge(name, fmt.Sprintf("%s-e%d", name, i), r.duplex(t, netem.LAN)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func (r *fabricRig) addStores(t *testing.T, n int) []string {
-	t.Helper()
-	names := shard.ShardNames(n)
-	for _, s := range names {
-		st, err := r.fab.AddStore(s)
+		edge := fmt.Sprintf("%s-e%d", name, i)
+		st, err := r.fab.AddEdge(name, edge, r.duplex(t, netem.LAN))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.JSON.PutScalar("root", "seed", s); err != nil {
-			t.Fatal(err)
-		}
+		r.edges[edge] = st
 	}
-	return names
 }
 
 // settle advances virtual time until the fabric converges (or max
@@ -74,7 +64,7 @@ func (r *fabricRig) settle(max time.Duration) bool {
 	deadline := r.clk.Now() + max
 	for r.clk.Now() < deadline {
 		r.clk.Advance(fabInterval)
-		if r.fab.Converged() && r.fab.Draining() == 0 {
+		if r.fab.Converged() {
 			return true
 		}
 	}
@@ -96,130 +86,57 @@ func hasKey(st *ReplicaState, key string) bool {
 	return ok
 }
 
-// TestFabricConvergesAcrossGroups drives a replicated (RF=2) fabric:
-// every store must reach both owner groups' relays and edges, edge
-// writes must propagate to the sibling group through the master, and
-// the whole run must be duplicate-free.
+// TestFabricConvergesAcrossGroups drives a three-group fabric: a master
+// write must reach every relay and edge, an edge write must reach the
+// master and the sibling groups through it, and the run must be
+// duplicate-free with the relays absorbing the fan-out.
 func TestFabricConvergesAcrossGroups(t *testing.T) {
-	r := newFabricRig(t, 2)
+	r := newFabricRig(t)
 	for _, g := range []string{"g1", "g2", "g3"} {
 		r.addGroup(t, g, 3)
 	}
-	stores := r.addStores(t, 4)
+	putKey(t, r.fab.master.State, "seed", "app")
 	r.fab.Start()
 	defer r.fab.Stop()
 	if !r.settle(30 * time.Second) {
 		t.Fatal("no convergence")
 	}
-	for _, s := range stores {
-		owners := r.fab.Assignment()[s]
-		if len(owners) != 2 {
-			t.Fatalf("store %s: want 2 owners, got %v", s, owners)
-		}
-		for _, g := range owners {
-			if r.fab.Relay(g, s) == nil {
-				t.Fatalf("store %s: owner %s has no relay replica", s, g)
-			}
+	for name, st := range r.edges {
+		if !hasKey(st, "seed") {
+			t.Fatalf("master write missing at edge %s", name)
 		}
 	}
-	// An edge write must reach the master and the other owner group.
-	s := stores[0]
-	owners := r.fab.Assignment()[s]
-	putKey(t, r.fab.Edge(owners[0], owners[0]+"-e1", s), "fromEdge", 7.0)
+	putKey(t, r.edges["g1-e1"], "fromEdge", 7.0)
 	if !r.settle(30 * time.Second) {
 		t.Fatal("no convergence after edge write")
 	}
-	if !hasKey(r.fab.Master(s), "fromEdge") {
+	if !hasKey(r.fab.master.State, "fromEdge") {
 		t.Fatal("edge write did not reach the master")
 	}
-	if !hasKey(r.fab.Edge(owners[1], owners[1]+"-e0", s), "fromEdge") {
-		t.Fatal("edge write did not reach the sibling owner group")
+	if !hasKey(r.fab.group("g2").relay.State, "fromEdge") || !hasKey(r.edges["g3-e0"], "fromEdge") {
+		t.Fatal("edge write did not reach the sibling groups")
 	}
 	st := r.fab.Stats()
-	if st.DuplicateApplies != 0 {
-		t.Fatalf("fabric shipped %d duplicate changes", st.DuplicateApplies)
-	}
-	if st.Errors != 0 {
-		t.Fatalf("%d sync errors", st.Errors)
+	for tier, s := range map[string]Stats{"uplink": st.Uplink, "fanout": st.Fanout} {
+		if s.DuplicateApplies != 0 {
+			t.Fatalf("%s shipped %d duplicate changes", tier, s.DuplicateApplies)
+		}
+		if s.Errors != 0 {
+			t.Fatalf("%s: %d sync errors", tier, s.Errors)
+		}
+		if s.AppliedChanges == 0 {
+			t.Fatalf("%s applied no changes", tier)
+		}
 	}
 	// With 3 edges behind each relay, the local fan-out must carry more
 	// bytes than the master's uplink egress — that is the whole point of
 	// the relay tier.
-	if st.RelayFanoutBytes <= st.MasterEgressBytes {
+	if st.Fanout.CloudStateBytes <= st.Uplink.CloudStateBytes {
 		t.Fatalf("relay fan-out %d bytes ≤ master egress %d bytes — relays are not absorbing fan-out",
-			st.RelayFanoutBytes, st.MasterEgressBytes)
+			st.Fanout.CloudStateBytes, st.Uplink.CloudStateBytes)
 	}
-	if st.PairsSkipped == 0 {
+	if st.Fanout.EdgesSkipped == 0 {
 		t.Fatal("idle pairs were never skipped")
-	}
-}
-
-// TestFabricRebalanceZeroLossZeroDup runs live write traffic while a
-// new group joins mid-flight: after the rebalance settles, every write
-// must be at the master and every owner (zero loss) and no change may
-// have been shipped twice (zero duplicates).
-func TestFabricRebalanceZeroLossZeroDup(t *testing.T) {
-	r := newFabricRig(t, 1)
-	for _, g := range []string{"g1", "g2", "g3"} {
-		r.addGroup(t, g, 2)
-	}
-	stores := r.addStores(t, 8)
-	r.fab.Start()
-	defer r.fab.Stop()
-
-	const writes = 40
-	var writeN func(i int)
-	writeN = func(i int) {
-		if i >= writes {
-			return
-		}
-		s := stores[i%len(stores)]
-		g := r.fab.Assignment()[s][0]
-		putKey(t, r.fab.Edge(g, g+"-e0", s), fmt.Sprintf("w-%03d", i), float64(i))
-		r.clk.After(150*time.Millisecond, func() { writeN(i + 1) })
-	}
-	r.clk.After(150*time.Millisecond, func() { writeN(0) })
-
-	// Mid-traffic: a fourth group joins and ownership rebalances.
-	r.clk.After(2*time.Second, func() {
-		r.addGroup(t, "g4", 2)
-		moves, err := r.fab.Rebalance()
-		if err != nil {
-			t.Error(err)
-		}
-		if len(moves) == 0 {
-			t.Error("join rebalance moved no stores")
-		}
-	})
-
-	r.clk.Advance(8 * time.Second) // let the writes finish
-	if !r.settle(60 * time.Second) {
-		t.Fatal("no convergence after rebalance")
-	}
-	for i := 0; i < writes; i++ {
-		key := fmt.Sprintf("w-%03d", i)
-		s := stores[i%len(stores)]
-		if !hasKey(r.fab.Master(s), key) {
-			t.Errorf("write %s lost: not at master", key)
-		}
-		for _, g := range r.fab.Assignment()[s] {
-			if !hasKey(r.fab.Relay(g, s), key) {
-				t.Errorf("write %s missing at owner %s", key, g)
-			}
-		}
-	}
-	st := r.fab.Stats()
-	if st.DuplicateApplies != 0 {
-		t.Fatalf("rebalance shipped %d duplicate changes", st.DuplicateApplies)
-	}
-	if st.StoresMoved == 0 || st.Rebalances == 0 {
-		t.Fatalf("rebalance not recorded in stats: %+v", st)
-	}
-	if len(r.fab.Events()) == 0 {
-		t.Fatal("no rebalance events recorded")
-	}
-	if r.fab.Draining() != 0 {
-		t.Fatalf("%d stores still draining after settle", r.fab.Draining())
 	}
 }
 
@@ -228,115 +145,46 @@ func TestFabricRebalanceZeroLossZeroDup(t *testing.T) {
 // see their writes until the heal, and the healed fabric must converge
 // without loss or duplicates.
 func TestFabricRelayPartitionHeal(t *testing.T) {
-	r := newFabricRig(t, 1)
+	r := newFabricRig(t)
 	r.addGroup(t, "g1", 2)
 	r.addGroup(t, "g2", 2)
-	stores := r.addStores(t, 4)
 	r.fab.Start()
 	defer r.fab.Stop()
 	if !r.settle(30 * time.Second) {
 		t.Fatal("no initial convergence")
 	}
 
-	// Partition the uplink of whichever group owns the first store.
-	s := stores[0]
-	g := r.fab.Assignment()[s][0]
-	uplink := r.fab.groups[g].uplink
-	uplink.SetDown(true)
-	putKey(t, r.fab.Edge(g, g+"-e0", s), "duringPartition", 1.0)
+	r.uplinks["g1"].SetDown(true)
+	putKey(t, r.edges["g1-e0"], "duringPartition", 1.0)
 	r.clk.Advance(3 * time.Second)
-	if hasKey(r.fab.Master(s), "duringPartition") {
+	if hasKey(r.fab.master.State, "duringPartition") {
 		t.Fatal("write crossed a downed uplink")
 	}
-	if !hasKey(r.fab.Edge(g, g+"-e1", s), "duringPartition") {
+	if !hasKey(r.edges["g1-e1"], "duringPartition") {
 		t.Fatal("intra-group fan-out stopped during the uplink partition")
 	}
-	uplink.SetDown(false)
+	r.uplinks["g1"].SetDown(false)
 	if !r.settle(30 * time.Second) {
 		t.Fatal("no convergence after heal")
 	}
-	if !hasKey(r.fab.Master(s), "duringPartition") {
+	if !hasKey(r.edges["g2-e1"], "duringPartition") {
 		t.Fatal("partition write lost after heal")
 	}
 	st := r.fab.Stats()
-	if st.DuplicateApplies != 0 {
-		t.Fatalf("partition recovery shipped %d duplicate changes", st.DuplicateApplies)
-	}
-}
-
-// TestFabricSuspendResume parks an edge and a whole group while the
-// master keeps writing; resumed replicas must catch up through the
-// re-handshake with no duplicate applies.
-func TestFabricSuspendResume(t *testing.T) {
-	r := newFabricRig(t, 1)
-	for _, g := range []string{"g1", "g2", "g3"} {
-		r.addGroup(t, g, 2)
-	}
-	stores := r.addStores(t, 8)
-	r.fab.Start()
-	defer r.fab.Stop()
-	if !r.settle(30 * time.Second) {
-		t.Fatal("no initial convergence")
-	}
-	// ga hosts the suspended edge; gb (a different group) is suspended
-	// wholesale. Owners are hash-assigned, so find them dynamically.
-	s1 := stores[0]
-	ga := r.fab.Assignment()[s1][0]
-	var s2, gb string
-	for _, cand := range stores[1:] {
-		if g := r.fab.Assignment()[cand][0]; g != ga {
-			s2, gb = cand, g
-			break
-		}
-	}
-	if gb == "" {
-		t.Fatalf("one group owns every store: %v", r.fab.Assignment())
-	}
-	if err := r.fab.SuspendEdge(ga, ga+"-e1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.fab.SuspendGroup(gb); err != nil {
-		t.Fatal(err)
-	}
-	putKey(t, r.fab.Master(s1), "whileParked", 1.0)
-	putKey(t, r.fab.Master(s2), "whileParked", 1.0)
-	if !r.settle(30 * time.Second) {
-		t.Fatal("active replicas did not converge while others parked")
-	}
-	if hasKey(r.fab.Edge(ga, ga+"-e1", s1), "whileParked") {
-		t.Fatal("suspended edge still received deltas")
-	}
-	if hasKey(r.fab.Relay(gb, s2), "whileParked") {
-		t.Fatal("suspended group still received deltas")
-	}
-	if err := r.fab.ResumeEdge(ga, ga+"-e1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.fab.ResumeGroup(gb); err != nil {
-		t.Fatal(err)
-	}
-	if !r.settle(30 * time.Second) {
-		t.Fatal("no convergence after resume")
-	}
-	if !hasKey(r.fab.Edge(ga, ga+"-e1", s1), "whileParked") ||
-		!hasKey(r.fab.Edge(gb, gb+"-e0", s2), "whileParked") {
-		t.Fatal("resumed replicas did not catch up")
-	}
-	if st := r.fab.Stats(); st.DuplicateApplies != 0 {
-		t.Fatalf("resume shipped %d duplicate changes", st.DuplicateApplies)
+	if st.Uplink.DuplicateApplies != 0 || st.Fanout.DuplicateApplies != 0 {
+		t.Fatalf("partition recovery shipped duplicate changes: %+v", st)
 	}
 }
 
 // TestFabricDeterministic pins that the same construction and schedule
-// produce byte-identical statistics — the property the closed-loop
-// scale experiments rely on.
+// produce identical statistics and state — the property the
+// closed-loop scale experiments rely on.
 func TestFabricDeterministic(t *testing.T) {
-	run := func() (FabricStats, map[string]int64, map[string]any) {
-		r := newFabricRig(t, 2)
+	run := func() (FabricStats, map[string]any) {
+		r := newFabricRig(t)
 		for _, g := range []string{"g1", "g2", "g3"} {
 			r.addGroup(t, g, 2)
 		}
-		stores := r.addStores(t, 6)
 		r.fab.Start()
 		defer r.fab.Stop()
 		var writeN func(i int)
@@ -344,30 +192,22 @@ func TestFabricDeterministic(t *testing.T) {
 			if i >= 20 {
 				return
 			}
-			s := stores[i%len(stores)]
-			g := r.fab.Assignment()[s][0]
-			putKey(t, r.fab.Edge(g, g+"-e0", s), fmt.Sprintf("w-%02d", i), float64(i))
+			putKey(t, r.edges[fmt.Sprintf("g%d-e%d", i%3+1, i%2)], fmt.Sprintf("w-%02d", i), float64(i))
 			r.clk.After(130*time.Millisecond, func() { writeN(i + 1) })
 		}
 		r.clk.After(130*time.Millisecond, func() { writeN(0) })
-		r.clk.After(1500*time.Millisecond, func() {
-			r.addGroup(t, "g4", 2)
-			if _, err := r.fab.Rebalance(); err != nil {
-				t.Error(err)
-			}
-		})
 		r.clk.Advance(20 * time.Second)
-		return r.fab.Stats(), r.fab.GroupBytes(), r.fab.Master(stores[0]).JSON.ToGo()
+		return r.fab.Stats(), r.fab.master.State.JSON.ToGo()
 	}
-	s1, b1, m1 := run()
-	s2, b2, m2 := run()
+	s1, m1 := run()
+	s2, m2 := run()
 	if s1 != s2 {
 		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
 	}
-	if !reflect.DeepEqual(b1, b2) {
-		t.Fatalf("per-group bytes differ: %v vs %v", b1, b2)
-	}
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("master state differs: %v vs %v", m1, m2)
+	}
+	if len(m1) != 20 {
+		t.Fatalf("master holds %d of 20 writes", len(m1))
 	}
 }

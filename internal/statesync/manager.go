@@ -84,9 +84,6 @@ type conn struct {
 	edge *Endpoint
 	link *netem.Duplex
 	pair pairSync
-	// suspended parks the connection: the elasticity controller stops
-	// synchronizing a powered-down replica, and Resume re-handshakes it.
-	suspended bool
 }
 
 // Stats aggregates synchronization traffic. The deployment facade
@@ -104,6 +101,12 @@ type Stats struct {
 	AckRoundTrips int64 `json:"ack_round_trips"`
 	// Errors counts failed applications.
 	Errors int64 `json:"errors"`
+	// AppliedChanges counts CRDT changes integrated by a receiver;
+	// DuplicateApplies counts delivered changes the receiver already
+	// held. The cursor protocol never reships a known operation, so the
+	// second stays zero.
+	AppliedChanges   int64 `json:"applied_changes"`
+	DuplicateApplies int64 `json:"duplicate_applies"`
 	// EdgesScanned counts per-round edge visits that did synchronization
 	// work; EdgesSkipped counts visits resolved by the idle test (one
 	// integer compare, no history walk). A converged fleet should skip
@@ -115,10 +118,24 @@ type Stats struct {
 // TotalBytes returns the WAN synchronization volume.
 func (s Stats) TotalBytes() int64 { return s.EdgeStateBytes + s.CloudStateBytes }
 
+// add accumulates o into s.
+func (s *Stats) add(o Stats) {
+	s.EdgeStateBytes += o.EdgeStateBytes
+	s.CloudStateBytes += o.CloudStateBytes
+	s.Messages += o.Messages
+	s.AckRoundTrips += o.AckRoundTrips
+	s.Errors += o.Errors
+	s.AppliedChanges += o.AppliedChanges
+	s.DuplicateApplies += o.DuplicateApplies
+	s.EdgesScanned += o.EdgesScanned
+	s.EdgesSkipped += o.EdgesSkipped
+}
+
 // record mirrors the manager's counters into an observability
 // registry. All writes are nil-safe no-ops when o is nil.
 type obsCounters struct {
 	edgeBytes, cloudBytes, messages, acks, errors *obs.Counter
+	applied, duplicates                           *obs.Counter
 }
 
 func newObsCounters(o *obs.Obs) obsCounters {
@@ -128,6 +145,8 @@ func newObsCounters(o *obs.Obs) obsCounters {
 		messages:   o.Counter("statesync.messages"),
 		acks:       o.Counter("statesync.ack_round_trips"),
 		errors:     o.Counter("statesync.errors"),
+		applied:    o.Counter("statesync.applied_changes"),
+		duplicates: o.Counter("statesync.duplicate_applies"),
 	}
 }
 
@@ -207,12 +226,8 @@ func (m *Manager) SyncRound() {
 	if err := m.master.refresh(); err != nil {
 		m.fail(err)
 	}
-	sent := m.sent
 	for _, c := range m.conns {
-		if c.suspended {
-			continue
-		}
-		if c.pair.step(m.clock, m.master, c.edge, c.link, false, m, sent) {
+		if m.step(c) {
 			m.stats.EdgesScanned++
 		} else {
 			m.stats.EdgesSkipped++
@@ -233,50 +248,19 @@ func (m *Manager) sent(up bool, n int) {
 	m.obs.messages.Add(1)
 }
 
-// delivered counts a delta applied remotely as a completed round trip.
-func (m *Manager) delivered(_, _ int, err error) {
-	if err == nil {
-		m.stats.AckRoundTrips++
-		m.obs.acks.Add(1)
+// delivered counts the changes a delivered delta integrated, the ones
+// the receiver already held, and — when it applied cleanly — a
+// completed round trip.
+func (m *Manager) delivered(changes, applied int, err error) {
+	m.stats.AppliedChanges += int64(applied)
+	m.obs.applied.Add(int64(applied))
+	if err != nil {
+		return
 	}
-}
-
-// connFor finds the connection for the named edge endpoint.
-func (m *Manager) connFor(name string) *conn {
-	for _, c := range m.conns {
-		if c.edge.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// SuspendEdge parks the named edge's connection: no deltas flow in
-// either direction until ResumeEdge. The elasticity controller calls it
-// when powering a replica down, so parked replicas cost zero
-// synchronization work and zero WAN bytes.
-func (m *Manager) SuspendEdge(name string) error {
-	c := m.connFor(name)
-	if c == nil {
-		return fmt.Errorf("statesync: no edge %q", name)
-	}
-	c.suspended = true
-	return nil
-}
-
-// ResumeEdge reactivates a suspended edge through the re-handshake
-// path: both cursors restart at the intersection of the two sides'
-// declared knowledge, exactly as a freshly added edge would — and when
-// the endpoint declares from its durable persister watermark, a replica
-// powered back up resyncs precisely the delta it missed while parked.
-func (m *Manager) ResumeEdge(name string) error {
-	c := m.connFor(name)
-	if c == nil {
-		return fmt.Errorf("statesync: no edge %q", name)
-	}
-	c.suspended = false
-	c.pair.handshake(m.master, c.edge)
-	return nil
+	m.stats.DuplicateApplies += int64(changes - applied)
+	m.obs.duplicates.Add(int64(changes - applied))
+	m.stats.AckRoundTrips++
+	m.obs.acks.Add(1)
 }
 
 func (m *Manager) fail(err error) {
@@ -287,15 +271,10 @@ func (m *Manager) fail(err error) {
 	}
 }
 
-// Converged reports whether the master and every active edge hold
-// identical state. Suspended edges are intentionally stale — they stop
-// receiving deltas until resumed — so they do not count against
-// convergence.
+// Converged reports whether the master and every edge hold identical
+// state.
 func (m *Manager) Converged() bool {
 	for _, c := range m.conns {
-		if c.suspended {
-			continue
-		}
 		if !m.master.State.Converged(c.edge.State) {
 			return false
 		}
@@ -343,6 +322,32 @@ func intersectHeads(a, b Heads) Heads {
 			}
 		}
 		out[comp] = vv
+	}
+	return out
+}
+
+// mergeHeads returns the componentwise/actorwise maximum of two
+// knowledge summaries, without mutating either.
+func mergeHeads(a, b Heads) Heads {
+	out := Heads{}
+	for comp, vv := range a {
+		c := crdt.VersionVector{}
+		for actor, s := range vv {
+			c[actor] = s
+		}
+		out[comp] = c
+	}
+	for comp, vv := range b {
+		c := out[comp]
+		if c == nil {
+			c = crdt.VersionVector{}
+			out[comp] = c
+		}
+		for actor, s := range vv {
+			if s > c[actor] {
+				c[actor] = s
+			}
+		}
 	}
 	return out
 }

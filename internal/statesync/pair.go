@@ -8,14 +8,14 @@ import (
 	"repro/internal/simclock"
 )
 
-// This file holds the virtual-time replication step that Manager (one
-// pair per edge) and Fabric (one pair per connection and store) both
-// run, and the tick loop that drives them. The TCP transport runs the
-// same cursor rule over a real connection (tcpSession in tcp.go).
+// This file holds the virtual-time replication step Manager runs for
+// each of its connections, and the tick loop that drives it. The TCP
+// transport runs the same cursor rule over a real connection
+// (tcpSession in tcp.go).
 
 // pairSync is the cursor state for one pair of endpoints: hi is the
-// endpoint nearer the master (the master itself, or a relay), lo the
-// farther one. A link's Up direction carries lo→hi, Down hi→lo.
+// manager's master (the cloud, or a Fabric relay), lo the edge. A
+// link's Up direction carries lo→hi, Down hi→lo.
 type pairSync struct {
 	// ackedUp is lo's state acknowledged by hi — the up-direction send
 	// cursor. ackedDown is hi's state acknowledged by lo.
@@ -36,14 +36,6 @@ type pairSync struct {
 	clean, valid         bool
 }
 
-// pairOwner is the runtime a pair reports to.
-type pairOwner interface {
-	fail(err error)
-	// delivered records one delta's arrival: how many changes it carried,
-	// how many the receiver integrated, and the apply error, if any.
-	delivered(changes, applied int, err error)
-}
-
 // handshake (re)initializes the cursors at the intersection of the two
 // endpoints' declared knowledge — their persister watermarks when
 // durable — and forces a rescan. A freshly forked replica and its
@@ -57,23 +49,19 @@ func (p *pairSync) handshake(hi, lo *Endpoint) {
 	p.valid = false
 }
 
-// step exchanges one round between hi and lo over link, reporting each
-// shipped delta's payload size through sent. In drain mode only the up
-// direction runs. It returns false when the idle test skipped the pair.
-func (p *pairSync) step(clock *simclock.Clock, hi, lo *Endpoint, link *netem.Duplex, drain bool,
-	own pairOwner, sent func(up bool, n int)) bool {
+// step exchanges one round between the master and c's edge over c's
+// link. It returns false when the idle test skipped the pair.
+func (m *Manager) step(c *conn) bool {
+	p, hi, lo := &c.pair, m.master, c.edge
 	if p.valid && p.clean && p.inflightUp == 0 && p.inflightDown == 0 &&
 		hi.State.Version() == p.lastHiVer && lo.State.Version() == p.lastLoVer {
 		return false
 	}
 	if err := lo.refresh(); err != nil {
-		own.fail(err)
+		m.fail(err)
 	}
-	upEmpty := ship(clock, link.Up, true, lo, hi, &p.ackedUp, &p.ackedDown, &p.inflightUp, own, sent)
-	downEmpty := true
-	if !drain {
-		downEmpty = ship(clock, link.Down, false, hi, lo, &p.ackedDown, &p.ackedUp, &p.inflightDown, own, sent)
-	}
+	upEmpty := m.ship(c.link.Up, true, lo, hi, &p.ackedUp, &p.ackedDown, &p.inflightUp)
+	downEmpty := m.ship(c.link.Down, false, hi, lo, &p.ackedDown, &p.ackedUp, &p.inflightDown)
 	p.clean = upEmpty && downEmpty
 	p.lastHiVer, p.lastLoVer = hi.State.Version(), lo.State.Version()
 	p.valid = true
@@ -86,8 +74,7 @@ func (p *pairSync) step(clock *simclock.Clock, hi, lo *Endpoint, link *netem.Dup
 // send, and the reverse cursor advances past the delivered operations
 // so dst never echoes them back — together with the window this makes
 // the pair duplicate-free. Returns true when there was nothing to send.
-func ship(clock *simclock.Clock, link *netem.Link, up bool, src, dst *Endpoint,
-	cursor, reverse *Heads, inflight *int, own pairOwner, sent func(up bool, n int)) bool {
+func (m *Manager) ship(link *netem.Link, up bool, src, dst *Endpoint, cursor, reverse *Heads, inflight *int) bool {
 	if *inflight > 0 {
 		return false
 	}
@@ -97,16 +84,16 @@ func ship(clock *simclock.Clock, link *netem.Link, up bool, src, dst *Endpoint,
 	}
 	payload, err := EncodeDelta(delta)
 	if err != nil {
-		own.fail(err)
+		m.fail(err)
 		return false
 	}
 	headsAtSend := src.State.Heads()
-	sent(up, len(payload))
+	m.sent(up, len(payload))
 	at := link.Send(len(payload), func() {
 		applied, aerr := dst.applyCount(delta)
-		own.delivered(delta.Changes(), applied, aerr)
+		m.delivered(delta.Changes(), applied, aerr)
 		if aerr != nil {
-			own.fail(aerr)
+			m.fail(aerr)
 			return
 		}
 		*cursor = mergeHeads(*cursor, headsAtSend)
@@ -116,7 +103,7 @@ func ship(clock *simclock.Clock, link *netem.Link, up bool, src, dst *Endpoint,
 	// the decrement is scheduled at the same instant as delivery, after
 	// it in FIFO order, so the idle test never hides an undelivered ack.
 	*inflight++
-	clock.At(at, func() { *inflight-- })
+	m.clock.At(at, func() { *inflight-- })
 	return false
 }
 

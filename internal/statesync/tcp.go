@@ -107,6 +107,9 @@ type tcpObs struct {
 	heartbeatsSent, heartbeatsRecv                *obs.Counter
 	bytesSent, bytesRecv                          *obs.Counter
 	changesRecv, changesApplied                   *obs.Counter
+	// duplicates is the transport-independent
+	// statesync.duplicate_applies counter that Manager credits too.
+	duplicates *obs.Counter
 	// edgesConnected is the master's live-session gauge; connState is
 	// the edge's lifecycle gauge (0 disconnected, 1 reconnecting, 2
 	// connected).
@@ -133,6 +136,7 @@ func newTCPObs(o *obs.Obs, prefix string) tcpObs {
 		bytesRecv:             o.Counter(prefix + ".bytes_recv"),
 		changesRecv:           o.Counter(prefix + ".changes_recv"),
 		changesApplied:        o.Counter(prefix + ".changes_applied"),
+		duplicates:            o.Counter("statesync.duplicate_applies"),
 		edgesConnected:        o.Gauge(prefix + ".edges_connected"),
 		connState:             o.Gauge(prefix + ".conn_state"),
 		batchAcksSent:         o.Counter(prefix + ".batch.acks_sent"),
@@ -704,15 +708,7 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 		case <-s.halt:
 			return
 		case <-hbC:
-			n, fr, _, err := wc.writeFrames(&frame{Kind: frameHeartbeat})
-			s.mu.Lock()
-			s.stats.BytesSent += int64(n)
-			s.stats.FramesSent += int64(fr)
-			s.stats.HeartbeatsSent += int64(fr)
-			s.o.bytesSent.Add(int64(n))
-			s.o.heartbeatsSent.Add(int64(fr))
-			s.mu.Unlock()
-			if err != nil {
+			if err := wc.writeFrames(s.credit(frameHeartbeat, 0), &frame{Kind: frameHeartbeat}); err != nil {
 				s.fail(err)
 				return
 			}
@@ -756,33 +752,30 @@ func (s *tcpSession) pushDelta(wc *wireConn) error {
 		}
 	}
 	sent := frames[:granted]
-	// wrote/comp count only frames that fully reached the wire — a write
-	// error mid-batch must not credit the remainder.
-	n, wrote, comp, err := wc.writeFrames(sent...)
+	// Like the frames themselves (credited inside writeFrames), the push
+	// is counted before the write, so the stats never trail the peer.
 	s.mu.Lock()
-	s.stats.BytesSent += int64(n)
-	s.stats.FramesSent += int64(wrote)
 	s.stats.OpsElided += int64(elided)
-	s.stats.CompressedFrames += int64(comp)
-	s.o.bytesSent.Add(int64(n))
 	s.o.batchOpsElided.Add(int64(elided))
-	s.o.batchCompressedFrames.Add(int64(comp))
 	s.o.batchFramesPerWrite.Observe(float64(len(sent)))
 	s.o.batchChangesSent.Observe(float64(delta.Changes()))
-	if err == nil {
-		// Merge, never assign: while the lock was released for the write,
-		// the reader may have advanced the cursor past changes the peer
-		// shipped us; heads predates them.
-		if granted == len(frames) {
-			*s.known = mergeHeads(*s.known, heads)
-		} else {
-			for _, f := range sent {
-				*s.known = advanceHeads(*s.known, f.Delta)
-			}
+	s.mu.Unlock()
+	if err := wc.writeFrames(s.credit(frameState, 0), sent...); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	// Merge, never assign: while the lock was released for the write,
+	// the reader may have advanced the cursor past changes the peer
+	// shipped us; heads predates them.
+	if granted == len(frames) {
+		*s.known = mergeHeads(*s.known, heads)
+	} else {
+		for _, f := range sent {
+			*s.known = advanceHeads(*s.known, f.Delta)
 		}
 	}
 	s.mu.Unlock()
-	return err
+	return nil
 }
 
 // read applies inbound state frames, counts heartbeats and acks, and
@@ -825,6 +818,7 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			// cursor past them so they are not echoed back.
 			*s.known = advanceHeads(*s.known, f.Delta)
 			if applyErr == nil {
+				s.o.duplicates.Add(recv - int64(applied))
 				// The delta is applied and persisted (persist-before-ack
 				// inside applyCount) — safe to acknowledge.
 				ackNow = wc.noteState(r.Buffered() == 0)
@@ -836,20 +830,32 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			return
 		}
 		if ackNow > 0 {
-			n, fr, _, err := wc.writeFrames(&frame{Kind: frameAck, Acked: ackNow})
-			s.mu.Lock()
-			s.stats.BytesSent += int64(n)
-			s.stats.FramesSent += int64(fr)
-			if fr > 0 {
-				s.stats.AcksSent += int64(ackNow)
-				s.o.batchAcksSent.Add(int64(ackNow))
-			}
-			s.o.bytesSent.Add(int64(n))
-			s.mu.Unlock()
-			if err != nil {
+			if err := wc.writeFrames(s.credit(frameAck, ackNow), &frame{Kind: frameAck, Acked: ackNow}); err != nil {
 				s.fail(err)
 				return
 			}
+		}
+	}
+}
+
+// credit returns the writeFrames callback that adds a write of kind
+// frames to the sent-side stats; each ack frame carries acked acks.
+func (s *tcpSession) credit(kind frameKind, acked int) func(n, frames, compressed int) {
+	return func(n, frames, compressed int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.stats.BytesSent += int64(n)
+		s.stats.FramesSent += int64(frames)
+		s.stats.CompressedFrames += int64(compressed)
+		s.o.bytesSent.Add(int64(n))
+		s.o.batchCompressedFrames.Add(int64(compressed))
+		switch kind {
+		case frameHeartbeat:
+			s.stats.HeartbeatsSent += int64(frames)
+			s.o.heartbeatsSent.Add(int64(frames))
+		case frameAck:
+			s.stats.AcksSent += int64(frames * acked)
+			s.o.batchAcksSent.Add(int64(frames * acked))
 		}
 	}
 }

@@ -391,12 +391,13 @@ func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
 
 // writeFrames ships the given frames in one vectored write (writev on a
 // real TCP conn via net.Buffers; per-frame writes on wrapped conns, so
-// fault injection still drops whole frames). It returns total bytes
-// written, how many frames were written in full, and how many of those
-// went out compressed. On error the counts reflect only what actually
-// reached the wire — a batch that dies before (or mid-way through) a
-// frame must not be credited to traffic stats.
-func (w *wireConn) writeFrames(frames ...*frame) (int, int, int, error) {
+// fault injection still drops whole frames). credit receives the
+// encoded batch (bytes, frames, compressed frames) before the write
+// starts, so the peer can never hold a frame the sender's stats omit.
+// If the write fails, credit is called again with the negated part
+// that did not reach the wire: a frame counts as sent only when every
+// one of its bytes was written.
+func (w *wireConn) writeFrames(credit func(n, frames, compressed int), frames ...*frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	ebufs := make([]*crdt.EncodeBuffer, 0, len(frames))
@@ -407,19 +408,27 @@ func (w *wireConn) writeFrames(frames ...*frame) (int, int, int, error) {
 	}()
 	bufs := make(net.Buffers, 0, len(frames))
 	comps := make([]bool, 0, len(frames))
+	total, totalComp := 0, 0
 	for _, f := range frames {
 		eb, comp, err := w.encodeWireFrame(f)
 		if err != nil {
-			return 0, 0, 0, err
+			return err
 		}
 		ebufs = append(ebufs, eb)
 		bufs = append(bufs, eb.B)
 		comps = append(comps, comp)
+		total += len(eb.B)
+		if comp {
+			totalComp++
+		}
 	}
+	credit(total, len(frames), totalComp)
 	// WriteTo consumes bufs, so frame attribution works off the encode
-	// buffers: a frame counts as sent only when every one of its bytes
-	// is covered by n.
+	// buffers.
 	n, err := bufs.WriteTo(w.c)
+	if err == nil {
+		return nil
+	}
 	sent, compressed := 0, 0
 	rem := int(n)
 	for i, eb := range ebufs {
@@ -432,7 +441,8 @@ func (w *wireConn) writeFrames(frames ...*frame) (int, int, int, error) {
 			compressed++
 		}
 	}
-	return int(n), sent, compressed, err
+	credit(int(n)-total, sent-len(frames), compressed-totalComp)
+	return err
 }
 
 // reserveUpTo claims as many of k requested window slots as fit,

@@ -83,9 +83,10 @@ func (c *budgetConn) SetDeadline(time.Time) error      { return nil }
 func (c *budgetConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *budgetConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestWriteFramesPartialWriteAccounting pins the frame-credit rule: a
-// batch whose write dies mid-way credits only the frames that fully
-// reached the wire, never the whole batch.
+// TestWriteFramesPartialWriteAccounting pins the frame-credit rule: the
+// whole batch is credited before the write, and a batch whose write
+// dies mid-way takes back all but the frames that fully reached the
+// wire.
 func TestWriteFramesPartialWriteAccounting(t *testing.T) {
 	frames := []*frame{
 		{Kind: frameState, From: "a"},
@@ -103,39 +104,49 @@ func TestWriteFramesPartialWriteAccounting(t *testing.T) {
 		sizes = append(sizes, len(eb.B))
 		eb.Release()
 	}
+	total := sizes[0] + sizes[1] + sizes[2]
+
+	// write returns the net credit and the first (pre-write) one.
+	write := func(wc *wireConn) (sum, first [3]int, err error) {
+		calls := 0
+		err = wc.writeFrames(func(n, fr, comp int) {
+			if calls == 0 {
+				first = [3]int{n, fr, comp}
+			}
+			calls++
+			sum[0] += n
+			sum[1] += fr
+			sum[2] += comp
+		}, frames...)
+		return sum, first, err
+	}
 
 	// Budget covers frame 0 plus part of frame 1.
 	severed := errors.New("wire severed")
-	wc := &wireConn{c: &budgetConn{budget: sizes[0] + sizes[1]/2, err: severed}}
-	n, sent, comp, err := wc.writeFrames(frames...)
+	got, first, err := write(&wireConn{c: &budgetConn{budget: sizes[0] + sizes[1]/2, err: severed}})
 	if !errors.Is(err, severed) {
 		t.Fatalf("err = %v, want severed", err)
 	}
-	if n != sizes[0]+sizes[1]/2 {
-		t.Fatalf("bytes = %d, want %d", n, sizes[0]+sizes[1]/2)
+	if first != [3]int{total, len(frames), 0} {
+		t.Fatalf("pre-write credit = %v, want the whole batch %v", first, [3]int{total, len(frames), 0})
 	}
-	if sent != 1 {
-		t.Fatalf("frames credited = %d, want 1 (frame 1 was cut mid-way, frame 2 never started)", sent)
-	}
-	if comp != 0 {
-		t.Fatalf("compressed credited = %d, want 0", comp)
+	if want := [3]int{sizes[0] + sizes[1]/2, 1, 0}; got != want {
+		t.Fatalf("net credit = %v, want %v (frame 1 was cut mid-way, frame 2 never started)", got, want)
 	}
 
-	// Error before anything reached the wire: zero credit.
-	wc = &wireConn{c: &budgetConn{budget: 0, err: severed}}
-	n, sent, _, err = wc.writeFrames(frames...)
-	if err == nil || n != 0 || sent != 0 {
-		t.Fatalf("dead conn: n=%d sent=%d err=%v, want 0/0/error", n, sent, err)
+	// Error before anything reached the wire: zero net credit.
+	got, _, err = write(&wireConn{c: &budgetConn{budget: 0, err: severed}})
+	if err == nil || got != [3]int{} {
+		t.Fatalf("dead conn: credit %v err=%v, want zero/error", got, err)
 	}
 
-	// Healthy path: every frame credited.
-	wc = &wireConn{c: &budgetConn{budget: 1 << 20, err: severed}}
-	n, sent, _, err = wc.writeFrames(frames...)
+	// Healthy path: every frame credited, once.
+	got, first, err = write(&wireConn{c: &budgetConn{budget: 1 << 20, err: severed}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent != len(frames) || n != sizes[0]+sizes[1]+sizes[2] {
-		t.Fatalf("healthy conn: n=%d sent=%d, want %d/%d", n, sent, sizes[0]+sizes[1]+sizes[2], len(frames))
+	if want := [3]int{total, len(frames), 0}; got != want || first != want {
+		t.Fatalf("healthy conn: credit %v (first %v), want %v", got, first, want)
 	}
 }
 
