@@ -56,10 +56,17 @@ func EncodeChangesBinary(chs []Change) []byte {
 // DecodeChangesBinary reverses EncodeChangesBinary, rejecting unknown
 // format versions and truncated or oversized input.
 func DecodeChangesBinary(b []byte) ([]Change, error) {
+	return decodeChanges(b, new(atomTable))
+}
+
+// decodeChanges is DecodeChangesBinary over a caller's intern table, so
+// the components of one record share it.
+func decodeChanges(b []byte, intern *atomTable) ([]Change, error) {
 	d, err := newBinDecoder(b)
 	if err != nil {
 		return nil, err
 	}
+	d.intern = intern
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -196,17 +203,31 @@ func appendValue(buf []byte, v Value) []byte {
 type binDecoder struct {
 	b   []byte
 	pos int
+	// intern, when set, is the decode call's table of actor, object and
+	// key strings (see atom).
+	intern *atomTable
 }
 
-func newBinDecoder(b []byte) (*binDecoder, error) {
+// atomTable interns the strings that repeat within one decoded batch:
+// a direct-mapped table of the last string seen per hash slot. A hit
+// compares bytes without allocating and returns the shared copy; a miss
+// allocates as plain decoding would and takes the slot. Unlike a map it
+// never grows or rehashes, so a batch of mostly distinct keys costs no
+// more than decoding without it.
+type atomTable [64]string
+
+// newBinDecoder checks the format version and returns a decoder past
+// it. It returns a value, so a decoder (and the intern table it points
+// to) can stay on the caller's stack.
+func newBinDecoder(b []byte) (binDecoder, error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrBinaryFormat)
+		return binDecoder{}, fmt.Errorf("%w: empty input", ErrBinaryFormat)
 	}
 	if b[0] != BinaryFormatVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d (want %d)",
+		return binDecoder{}, fmt.Errorf("%w: unsupported format version %d (want %d)",
 			ErrBinaryFormat, b[0], BinaryFormatVersion)
 	}
-	return &binDecoder{b: b, pos: 1}, nil
+	return binDecoder{b: b, pos: 1}, nil
 }
 
 func (d *binDecoder) done() error {
@@ -271,6 +292,31 @@ func (d *binDecoder) string() (string, error) {
 	return string(b), nil
 }
 
+// atom reads a string that repeats across a batch — an actor, object or
+// key — through the intern table when the decoder has one.
+func (d *binDecoder) atom() (string, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	b, err := d.take(n)
+	if err != nil {
+		return "", err
+	}
+	if d.intern == nil {
+		return string(b), nil
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &d.intern[h%uint32(len(d.intern))]
+	if *slot != string(b) { // compares without converting
+		*slot = string(b)
+	}
+	return *slot, nil
+}
+
 func (d *binDecoder) bytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -295,7 +341,7 @@ func (d *binDecoder) vv() (VersionVector, error) {
 	}
 	vv := make(VersionVector, d.capFor(n))
 	for i := uint64(0); i < n; i++ {
-		a, err := d.string()
+		a, err := d.atom()
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +356,7 @@ func (d *binDecoder) vv() (VersionVector, error) {
 
 func (d *binDecoder) change() (Change, error) {
 	var ch Change
-	actor, err := d.string()
+	actor, err := d.atom()
 	if err != nil {
 		return ch, err
 	}
@@ -349,17 +395,17 @@ func (d *binDecoder) op() (Op, error) {
 	if op.TS.Counter, err = d.uvarint(); err != nil {
 		return op, err
 	}
-	actor, err := d.string()
+	actor, err := d.atom()
 	if err != nil {
 		return op, err
 	}
 	op.TS.Actor = ActorID(actor)
-	obj, err := d.string()
+	obj, err := d.atom()
 	if err != nil {
 		return op, err
 	}
 	op.Obj = ObjID(obj)
-	if op.Key, err = d.string(); err != nil {
+	if op.Key, err = d.atom(); err != nil {
 		return op, err
 	}
 	if op.Elem, err = d.string(); err != nil {
@@ -404,7 +450,7 @@ func (d *binDecoder) value() (Value, error) {
 		v.Bytes, err = d.bytes()
 	case ValObj:
 		var s string
-		if s, err = d.string(); err == nil {
+		if s, err = d.atom(); err == nil {
 			v.Obj = ObjID(s)
 		}
 	case ValNull, ValKind(0):

@@ -76,6 +76,9 @@ func ReadComponents(b []byte) (map[string][]Change, int, error) {
 		return nil, d.pos, err
 	}
 	out := make(map[string][]Change, d.capFor(ncomp))
+	// Components share one intern table: an edge's actor appears in
+	// every component it wrote.
+	intern := new(atomTable)
 	for i := uint64(0); i < ncomp; i++ {
 		name, err := d.string()
 		if err != nil {
@@ -89,7 +92,7 @@ func ReadComponents(b []byte) (map[string][]Change, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("component %q: %w", name, err)
 		}
-		chs, err := DecodeChangesBinary(enc)
+		chs, err := decodeChanges(enc, intern)
 		if err != nil {
 			return nil, 0, fmt.Errorf("component %q: %w", name, err)
 		}

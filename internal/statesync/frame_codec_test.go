@@ -281,6 +281,40 @@ func BenchmarkFrameCodec(b *testing.B) {
 	})
 }
 
+// BenchmarkRowFrameDecode decodes one 64-change state frame shaped like
+// bookworm's checkouts: each change sets the stock column of one of 500
+// rows, so actor, object and column strings repeat within the frame.
+func BenchmarkRowFrameDecode(b *testing.B) {
+	st, err := NewReplicaState("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Tables.EnsureTable("books"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := st.Tables.UpsertRow("books", fmt.Sprint(i), map[string]any{"title": fmt.Sprintf("book %d", i), "stock": 100}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st.Tables.Doc().Commit("")
+	for i := 0; i < 64; i++ {
+		if err := st.Tables.UpsertRow("books", fmt.Sprint(i*7%500), map[string]any{"stock": 99 - i}); err != nil {
+			b.Fatal(err)
+		}
+		st.Tables.Doc().Commit("")
+	}
+	chs := st.Delta(nil)[CompTables]
+	payload := appendFrame(nil, &frame{Kind: frameState, Delta: Delta{CompTables: chs[len(chs)-64:]}})
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeFrame(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestFrameEncodeAllocatesNothing pins the pooled encode path's budget.
 func TestFrameEncodeAllocatesNothing(t *testing.T) {
 	f := goldenFrames()["state"]

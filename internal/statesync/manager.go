@@ -205,9 +205,6 @@ func (m *Manager) AddEdge(edge *Endpoint, link *netem.Duplex) error {
 // Stats returns the accumulated traffic statistics.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ResetStats zeroes the statistics (link counters are the caller's).
-func (m *Manager) ResetStats() { m.stats = Stats{} }
-
 // Start schedules the periodic synchronization. It keeps rescheduling
 // itself until Stop. Start must run on the simulation goroutine (it
 // schedules on the clock); a second Start while running is a no-op.

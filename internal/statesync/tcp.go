@@ -15,9 +15,13 @@ import (
 
 // This file provides a real-network transport for the synchronization
 // protocol — the analog of the paper's bidirectional socket.io channel.
-// A TCPMaster listens for edge replicas; each TCPEdge dials in,
-// exchanges a hello carrying its version vector, and both sides then
-// push state deltas periodically. TCP's reliable ordered delivery lets
+// A TCPMaster listens for edge replicas; each TCPEdge dials in and
+// exchanges a hello carrying its version vector. An edge then pushes
+// its state deltas every Interval, so its tick is the one batching
+// point. The master is the hub between edges and forwards on events: a
+// cloud commit (TCPMaster.Do) or an edge delta it has applied and
+// persisted wakes the pushers of the other sessions at once, and its
+// own tick is only a fallback. TCP's reliable ordered delivery lets
 // acknowledgements advance optimistically on write.
 //
 // The transport is supervision-grade: a TCPEdge that loses its
@@ -71,9 +75,14 @@ type TCPStats struct {
 	// OpsElided counts CRDT ops dropped by pre-send coalescing — ops a
 	// later op in the same batch provably eclipsed.
 	OpsElided int64
-	// WindowStalls counts pusher ticks skipped because the in-flight
-	// window was full (backpressure from a slow peer).
+	// WindowStalls counts pushes the in-flight window cut short
+	// (backpressure from a slow peer); the ack that frees space wakes
+	// the pusher for the rest.
 	WindowStalls int64
+	// WokenPushes counts pushes started by a wake rather than the tick:
+	// the master's forwards and commits, and acks that reopened the
+	// window after a stall.
+	WokenPushes int64
 	// CompressedFrames counts outbound frames shipped flate-compressed.
 	CompressedFrames int64
 }
@@ -120,7 +129,7 @@ type tcpObs struct {
 	// and compression.
 	batchAcksSent, batchAcksRecv          *obs.Counter
 	batchOpsElided, batchWindowStalls     *obs.Counter
-	batchCompressedFrames                 *obs.Counter
+	batchCompressedFrames, batchWoken     *obs.Counter
 	batchFramesPerWrite, batchChangesSent *obs.Histogram
 }
 
@@ -144,6 +153,7 @@ func newTCPObs(o *obs.Obs, prefix string) tcpObs {
 		batchOpsElided:        o.Counter(prefix + ".batch.ops_elided"),
 		batchWindowStalls:     o.Counter(prefix + ".batch.window_stalls"),
 		batchCompressedFrames: o.Counter(prefix + ".batch.compressed_frames"),
+		batchWoken:            o.Counter(prefix + ".batch.woken_pushes"),
 		batchFramesPerWrite:   o.Histogram(prefix + ".batch.frames_per_write"),
 		batchChangesSent:      o.Histogram(prefix + ".batch.changes_per_push"),
 	}
@@ -230,6 +240,8 @@ type masterConn struct {
 	Addr string
 	// handshaked marks a completed hello exchange.
 	handshaked bool
+	// wake is the session pusher's 1-slot wake-up channel (see poke).
+	wake chan struct{}
 }
 
 // MasterConnInfo describes one live, handshaked edge session.
@@ -265,6 +277,39 @@ func ServeMasterConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPMaster, er
 
 // Addr returns the listener address (for edges to dial).
 func (m *TCPMaster) Addr() string { return m.ln.Addr().String() }
+
+// Do runs f while holding the state lock, like the edge's Do, and then
+// wakes every session's pusher if f changed the replicated state, so a
+// cloud commit reaches the edges at once instead of on the master's
+// next tick. A read-only f wakes no one.
+func (m *TCPMaster) Do(f func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := m.ep.State.Version()
+	f()
+	if m.ep.State.Version() != v {
+		m.wakeLocked(nil)
+	}
+}
+
+// wakeLocked wakes the pusher of every handshaked session except the
+// one on skip; callers hold m.mu.
+func (m *TCPMaster) wakeLocked(skip net.Conn) {
+	for c, info := range m.conns {
+		if c != skip && info.handshaked {
+			poke(info.wake)
+		}
+	}
+}
+
+// poke leaves a wake-up in a 1-slot channel without blocking: a wake
+// already pending absorbs it, so a burst coalesces into one push.
+func poke(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
 
 // SetObs mirrors the master's transport counters into the registry
 // under statesync.tcp.master.* (see OBSERVABILITY.md). A nil Obs
@@ -326,7 +371,7 @@ func (m *TCPMaster) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		m.conns[conn] = &masterConn{Addr: conn.RemoteAddr().String()}
+		m.conns[conn] = &masterConn{Addr: conn.RemoteAddr().String(), wake: make(chan struct{}, 1)}
 		m.wg.Add(1)
 		m.mu.Unlock()
 		go m.serveConn(conn)
@@ -393,10 +438,12 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 	m.stats.FramesSent++
 	m.o.bytesSent.Add(int64(sent))
 	peerKnown := hello.Heads
+	var wake chan struct{}
 	if err == nil {
 		if info := m.conns[conn]; info != nil {
 			info.Name = hello.From
 			info.handshaked = true
+			wake = info.wake
 		}
 		m.stats.Connects++
 		m.o.connects.Add(1)
@@ -407,7 +454,12 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 		m.fail(err)
 		return
 	}
-	(&tcpSession{tcpSide: &m.tcpSide, known: &peerKnown, peer: "edge"}).run(conn, r, newWireConn(conn, m.cfg, hello))
+	// The session forwards what it applies: the other sessions' pushers
+	// wake to relay it. The wake fires under mu, after applyCount has
+	// persisted the delta, so only durable state is forwarded.
+	s := &tcpSession{tcpSide: &m.tcpSide, known: &peerKnown, peer: "edge", wake: wake,
+		relay: func() { m.wakeLocked(conn) }}
+	s.run(conn, r, newWireConn(conn, m.cfg, hello))
 }
 
 // isTimeout reports whether err is a network deadline expiry.
@@ -654,7 +706,8 @@ func (e *TCPEdge) reconnect() (net.Conn, *bufio.Reader, *wireConn, bool) {
 // runSession drives one live connection until it is unusable; the
 // connection is closed on return.
 func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader, wc *wireConn) {
-	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master"}).run(conn, r, wc)
+	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master",
+		wake: make(chan struct{}, 1)}).run(conn, r, wc)
 }
 
 // tcpSession is the replication step both ends of a TCP link run once
@@ -671,6 +724,13 @@ type tcpSession struct {
 	halt <-chan struct{}
 	// peer names the other side in the dead-peer error.
 	peer string
+	// wake starts a push ahead of the tick. The reader signals it when an
+	// ack reopens a window that cut the last push short; the master also
+	// signals it on a cloud commit or to relay another edge's delta.
+	wake chan struct{}
+	// relay, when set, runs under mu after an inbound state frame
+	// integrated new changes (the master wakes its other sessions).
+	relay func()
 }
 
 // run drives one live connection: the read deadline declares a silent
@@ -690,8 +750,9 @@ func (s *tcpSession) run(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 	s.read(conn, r, wc)
 }
 
-// push periodically ships the deltas the peer is missing, plus
-// heartbeats that keep an idle link inside the peer's read deadline.
+// push ships the deltas the peer is missing on every tick and every
+// wake, plus heartbeats that keep an idle link inside the peer's read
+// deadline.
 func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
@@ -713,7 +774,12 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 				return
 			}
 		case <-ticker.C:
-			if err := s.pushDelta(wc); err != nil {
+			if err := s.pushDelta(wc, false); err != nil {
+				s.fail(err)
+				return
+			}
+		case <-s.wake:
+			if err := s.pushDelta(wc, true); err != nil {
 				s.fail(err)
 				return
 			}
@@ -721,9 +787,10 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 	}
 }
 
-// pushDelta ships one tick's delta. Only a write error is returned: it
+// pushDelta ships everything the peer is missing; woken marks a push a
+// wake started rather than the tick. Only a write error is returned: it
 // ends the session.
-func (s *tcpSession) pushDelta(wc *wireConn) error {
+func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 	s.mu.Lock()
 	if err := s.ep.refresh(); err != nil {
 		s.fail(err)
@@ -742,7 +809,8 @@ func (s *tcpSession) pushDelta(wc *wireConn) error {
 	if granted < len(frames) {
 		// Window backpressure: the peer has not acked enough of what we
 		// already pipelined. Ship what fits (possibly nothing); the cursor
-		// only advances past what was sent, so the rest retries next tick.
+		// only advances past what was sent, and reserveUpTo recorded the
+		// backlog, so the ack that frees space wakes us for the rest.
 		s.mu.Lock()
 		s.stats.WindowStalls++
 		s.o.batchWindowStalls.Add(1)
@@ -757,6 +825,10 @@ func (s *tcpSession) pushDelta(wc *wireConn) error {
 	s.mu.Lock()
 	s.stats.OpsElided += int64(elided)
 	s.o.batchOpsElided.Add(int64(elided))
+	if woken {
+		s.stats.WokenPushes++
+		s.o.batchWoken.Add(1)
+	}
 	s.o.batchFramesPerWrite.Observe(float64(len(sent)))
 	s.o.batchChangesSent.Observe(float64(delta.Changes()))
 	s.mu.Unlock()
@@ -803,7 +875,9 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			s.stats.HeartbeatsRecv++
 			s.o.heartbeatsRecv.Add(1)
 		case frameAck:
-			wc.ackRecv(f.Acked)
+			if wc.ackRecv(f.Acked) {
+				poke(s.wake)
+			}
 			s.stats.AcksRecv += int64(f.Acked)
 			s.o.batchAcksRecv.Add(int64(f.Acked))
 		case frameState:
@@ -820,8 +894,11 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			if applyErr == nil {
 				s.o.duplicates.Add(recv - int64(applied))
 				// The delta is applied and persisted (persist-before-ack
-				// inside applyCount) — safe to acknowledge.
+				// inside applyCount) — safe to acknowledge, and to forward.
 				ackNow = wc.noteState(r.Buffered() == 0)
+				if applied > 0 && s.relay != nil {
+					s.relay()
+				}
 			}
 		}
 		s.mu.Unlock()

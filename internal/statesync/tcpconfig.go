@@ -44,7 +44,11 @@ func (b BackoffConfig) Delay(attempt int, rng *rand.Rand) time.Duration {
 // mechanism; DefaultTCPConfig returns the supervision-grade settings
 // and WithDefaults fills zero fields from them.
 type TCPConfig struct {
-	// Interval is the delta push period (required, > 0).
+	// Interval is the delta push period (required, > 0). It is an
+	// edge's batching period: an edge ships its local commits on this
+	// tick only. The master forwards on events — a commit through
+	// TCPMaster.Do or an edge delta it applied — so for the master it
+	// is the fallback tick.
 	Interval time.Duration
 	// DialTimeout bounds a dial plus handshake (0 = no bound).
 	DialTimeout time.Duration
@@ -79,9 +83,9 @@ type TCPConfig struct {
 	// a larger delta is chunked into several frames shipped in a single
 	// vectored write (0 = default 64, negative = unlimited).
 	MaxBatchChanges int
-	// MaxInFlight bounds unacknowledged outbound state frames; when the
-	// window is full the pusher skips ticks until watermark acks drain
-	// it, so a slow peer never accumulates an unbounded backlog
+	// MaxInFlight bounds unacknowledged outbound state frames; a push
+	// the full window cuts short resumes when a watermark ack frees
+	// space, so a slow peer never accumulates an unbounded backlog
 	// (0 = default 32, negative = windowing disabled). Windowing also
 	// disables itself toward peers that predate acks.
 	MaxInFlight int

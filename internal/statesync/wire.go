@@ -337,8 +337,9 @@ type wireConn struct {
 	ackWatermark int
 
 	mu          sync.Mutex
-	inflight    int // state frames written, not yet acked
-	pendingAcks int // state frames applied, not yet acked
+	inflight    int  // state frames written, not yet acked
+	pendingAcks int  // state frames applied, not yet acked
+	backlog     bool // the last reservation was cut short by the window
 }
 
 // newWireConn negotiates session features from the local config and the
@@ -448,33 +449,31 @@ func (w *wireConn) writeFrames(credit func(n, frames, compressed int), frames ..
 // reserveUpTo claims as many of k requested window slots as fit,
 // returning the number granted (possibly 0). A push larger than the
 // free window goes out truncated — the caller ships the granted prefix
-// and retries the rest next tick — so in-flight data stays bounded no
-// matter how large a delta gets.
+// and the rest waits for an ack (see ackRecv) — so in-flight data stays
+// bounded no matter how large a delta gets.
 func (w *wireConn) reserveUpTo(k int) int {
 	if w.sendWindow == 0 {
 		return k
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	avail := w.sendWindow - w.inflight
-	if avail <= 0 {
-		return 0
-	}
-	if avail < k {
-		k = avail
-	}
-	w.inflight += k
-	return k
+	granted := min(k, max(0, w.sendWindow-w.inflight))
+	w.inflight += granted
+	w.backlog = granted < k
+	return granted
 }
 
-// ackRecv releases k window slots on an inbound ack.
-func (w *wireConn) ackRecv(k int) {
+// ackRecv releases k window slots on an inbound ack. It reports, once,
+// whether the last reservation was cut short, so the caller wakes the
+// pusher for the rest; after a push the window did not cut, an ack
+// wakes no one.
+func (w *wireConn) ackRecv(k int) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.inflight -= k
-	if w.inflight < 0 {
-		w.inflight = 0
-	}
+	w.inflight = max(0, w.inflight-k)
+	stalled := w.backlog
+	w.backlog = false
+	return stalled
 }
 
 // noteState records one applied inbound state frame and returns how
