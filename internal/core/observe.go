@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/obs"
 	"repro/internal/script"
+	"repro/internal/sqldb"
 	"repro/internal/statesync"
 )
 
@@ -155,6 +156,14 @@ func observeVM(o *obs.Obs) {
 	o.Gauge("script.frames_allocated").Set(float64(vs.FramesAllocated))
 }
 
+// observeSQL copies the process-wide count of SQL statement-cache
+// misses (sqldb.StmtsParsed) into the registry as the
+// `sqldb.stmts_parsed` gauge. Under steady traffic it stays flat; a
+// rising value means the statement caches are thrashing.
+func observeSQL(o *obs.Obs) {
+	o.Gauge("sqldb.stmts_parsed").Set(float64(sqldb.StmtsParsed()))
+}
+
 // Observe captures an introspection snapshot of the deployment. It is
 // safe to call at any point in the deployment's lifetime, repeatedly,
 // and on a deployment created without observability (the trace/metrics
@@ -170,6 +179,7 @@ func Observe(d *Deployment) Observation {
 	}
 	if d.Obs != nil {
 		observeVM(d.Obs)
+		observeSQL(d.Obs)
 		o.Observability = d.Obs.Snapshot()
 	}
 	o.Durability = d.observeDurability()

@@ -141,3 +141,43 @@ func TestObserveSnapshot(t *testing.T) {
 		t.Errorf("statesync stats lost in JSON round-trip: %+v vs %+v", back.StateSync, ob.StateSync)
 	}
 }
+
+// TestStmtsParsedGaugeFlat checks that the sqldb.stmts_parsed gauge
+// stays flat across a repeat of identical requests: once every SQL text
+// has been parsed, the statement caches answer all of them.
+func TestStmtsParsedGaugeFlat(t *testing.T) {
+	sub := workload.Bookworm()
+	o := obs.New()
+	ctx := obs.With(context.Background(), o)
+	res, err := TransformSubjectTrafficContext(ctx, sub.Name, sub.Source, sub.Routes(), sub.RegressionVectors(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simclock.New()
+	dep, err := DeployContext(ctx, clock, res, DefaultDeployConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Stop()
+	gauge := func() float64 {
+		Observe(dep)
+		return o.Gauge("sqldb.stmts_parsed").Value()
+	}
+	serve := func() {
+		for _, req := range sub.RegressionVectors() {
+			dep.HandleAtEdge(req, nil)
+		}
+		clock.RunUntil(clock.Now() + time.Second)
+	}
+	serve()
+	warm := gauge()
+	if warm <= 0 {
+		t.Fatalf("sqldb.stmts_parsed = %v after serving SQL requests, want > 0", warm)
+	}
+	for i := 0; i < 3; i++ {
+		serve()
+	}
+	if got := gauge(); got != warm {
+		t.Fatalf("sqldb.stmts_parsed rose from %v to %v over repeated identical requests", warm, got)
+	}
+}

@@ -64,6 +64,10 @@ type Doc struct {
 	vv      VersionVector
 	objs    map[ObjID]*object
 	history []Change
+	// byActor indexes history by actor: the positions in history of each
+	// actor's changes, ascending. An actor's changes are integrated in
+	// seq order, so these positions are in seq order too.
+	byActor map[ActorID][]int
 	pending []Op     // uncommitted local ops (already applied to state)
 	parked  []Change // remote changes awaiting dependencies
 	// version counts state mutations (local records plus integrated
@@ -95,6 +99,7 @@ func NewDoc(actor ActorID) *Doc {
 		actor:     actor,
 		vv:        make(VersionVector),
 		objs:      map[ObjID]*object{RootObj: newObject(KindMap)},
+		byActor:   make(map[ActorID][]int),
 		compacted: make(VersionVector),
 		parents:   make(map[ObjID]Slot),
 	}
@@ -151,6 +156,12 @@ func (d *Doc) Commit(msg string) {
 	}
 	d.pending = nil
 	d.vv[d.actor] = d.seq
+	d.appendHistory(ch)
+}
+
+// appendHistory appends ch to the history and its index.
+func (d *Doc) appendHistory(ch Change) {
+	d.byActor[ch.Actor] = append(d.byActor[ch.Actor], len(d.history))
 	d.history = append(d.history, ch)
 }
 
@@ -160,12 +171,41 @@ func (d *Doc) Commit(msg string) {
 //
 // After Compact, requests from peers older than the compaction point
 // cannot be served incrementally; use GetChangesChecked to detect that.
+//
+// The result is in arrival order, as a scan of the history would give
+// it. The index makes the cost O(actors·log history + returned): each
+// actor's missing changes are a suffix of its positions, found by binary
+// search, and the suffixes are merged by position.
 func (d *Doc) GetChanges(since VersionVector) []Change {
 	d.Commit("")
-	var out []Change
-	for _, ch := range d.history {
-		if ch.Seq > since[ch.Actor] {
-			out = append(out, ch)
+	var (
+		buf   [4][]int
+		tails = buf[:0]
+		n     int
+	)
+	for a, pos := range d.byActor {
+		have := since[a]
+		i := sort.Search(len(pos), func(i int) bool { return d.history[pos[i]].Seq > have })
+		if i < len(pos) {
+			tails = append(tails, pos[i:])
+			n += len(pos) - i
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Change, 0, n)
+	for len(tails) > 0 {
+		// Take from the tail whose next position comes first.
+		m := 0
+		for j := 1; j < len(tails); j++ {
+			if tails[j][0] < tails[m][0] {
+				m = j
+			}
+		}
+		out = append(out, d.history[tails[m][0]])
+		if tails[m] = tails[m][1:]; len(tails[m]) == 0 {
+			tails = append(tails[:m], tails[m+1:]...)
 		}
 	}
 	return out
@@ -208,8 +248,17 @@ func (d *Doc) Compact(through VersionVector) int {
 		kept = append(kept, ch)
 	}
 	d.history = kept
+	d.reindex()
 	d.compacted.Merge(bound)
 	return dropped
+}
+
+// reindex rebuilds byActor from the history.
+func (d *Doc) reindex() {
+	clear(d.byActor)
+	for i, ch := range d.history {
+		d.byActor[ch.Actor] = append(d.byActor[ch.Actor], i)
+	}
 }
 
 // Compacted returns the compaction point (what the log no longer holds).
@@ -306,7 +355,7 @@ func (d *Doc) integrate(ch Change, touched func(Slot)) error {
 		}
 	}
 	d.vv[ch.Actor] = ch.Seq
-	d.history = append(d.history, ch)
+	d.appendHistory(ch)
 	d.version++
 	return nil
 }

@@ -97,6 +97,9 @@ type App struct {
 	name   string
 	source string
 	routes []Route
+	// routeKeys holds Route.String() of each route, the key of the
+	// read-only classification maps.
+	routeKeys []string
 
 	mu     sync.RWMutex
 	prog   *script.Program
@@ -148,6 +151,10 @@ func New(name, source string, routes []Route, opts ...Option) (*App, error) {
 		}
 	}
 	a := &App{name: name, source: source, routes: append([]Route(nil), routes...), prog: prog}
+	a.routeKeys = make([]string, len(a.routes))
+	for i, rt := range a.routes {
+		a.routeKeys[i] = rt.String()
+	}
 	for _, opt := range opts {
 		opt(a)
 	}
@@ -204,35 +211,60 @@ func (a *App) Clone() (*App, error) {
 // Lookup finds the route matching method and path and returns it with
 // any extracted path parameters.
 func (a *App) Lookup(method, path string) (Route, map[string]string, error) {
-	for _, rt := range a.routes {
-		if !strings.EqualFold(rt.Method, method) {
-			continue
-		}
-		if params, ok := matchPath(rt.Path, path); ok {
-			return rt, params, nil
-		}
+	i, err := a.lookup(method, path)
+	if err != nil {
+		return Route{}, nil, err
 	}
-	return Route{}, nil, fmt.Errorf("%w: %s %s", ErrNoRoute, method, path)
+	params, _ := matchPath(a.routes[i].Path, path)
+	return a.routes[i], params, nil
 }
 
-// matchPath matches a ":param" pattern against a concrete path.
+// lookup returns the index of the first route matching method and path.
+func (a *App) lookup(method, path string) (int, error) {
+	for i, rt := range a.routes {
+		if strings.EqualFold(rt.Method, method) && walkPath(rt.Path, path, nil) {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("%w: %s %s", ErrNoRoute, method, path)
+}
+
+// matchPath matches a ":param" pattern against a concrete path and
+// returns the captured parameters. Leading and trailing slashes are
+// ignored on both sides; the pattern and the path must have the same
+// number of segments.
 func matchPath(pattern, path string) (map[string]string, bool) {
-	ps := strings.Split(strings.Trim(pattern, "/"), "/")
-	xs := strings.Split(strings.Trim(path, "/"), "/")
-	if len(ps) != len(xs) {
+	if !walkPath(pattern, path, nil) {
 		return nil, false
 	}
 	params := map[string]string{}
-	for i := range ps {
-		if strings.HasPrefix(ps[i], ":") {
-			params[ps[i][1:]] = xs[i]
-			continue
-		}
-		if ps[i] != xs[i] {
-			return nil, false
-		}
-	}
+	walkPath(pattern, path, params)
 	return params, true
+}
+
+// walkPath compares pattern and path segment by segment, storing each
+// ":name" capture in params when params is non-nil. It allocates
+// nothing.
+func walkPath(pattern, path string, params map[string]string) bool {
+	ps, xs := strings.Trim(pattern, "/"), strings.Trim(path, "/")
+	for {
+		p, pRest, pMore := strings.Cut(ps, "/")
+		x, xRest, xMore := strings.Cut(xs, "/")
+		if name, ok := strings.CutPrefix(p, ":"); ok {
+			if params != nil {
+				params[name] = x
+			}
+		} else if p != x {
+			return false
+		}
+		if pMore != xMore {
+			return false
+		}
+		if !pMore {
+			return true
+		}
+		ps, xs = pRest, xRest
+	}
 }
 
 // Invoke dispatches an in-process request to the matching handler and
@@ -331,33 +363,35 @@ func (a *App) SetReadOnlyRoutes(ro map[string]bool) {
 // RequestReadOnly reports whether req resolves to a route classified as
 // read-only, i.e. safe for InvokeRead. Unroutable requests report false.
 func (a *App) RequestReadOnly(req *Request) bool {
-	rt, _, err := a.Lookup(req.Method, req.Path)
+	i, err := a.lookup(req.Method, req.Path)
 	if err != nil {
 		return false
 	}
-	return a.routeReadOnly(rt)
+	return a.routeReadOnly(a.routeKeys[i])
 }
 
-func (a *App) routeReadOnly(rt Route) bool {
+// routeReadOnly reports the effective classification of the route whose
+// Route.String() is key.
+func (a *App) routeReadOnly(key string) bool {
 	if a.readOnly != nil {
-		if ro, ok := a.readOnly[rt.String()]; ok {
+		if ro, ok := a.readOnly[key]; ok {
 			return ro
 		}
 	}
-	return a.staticReadOnly[rt.String()]
+	return a.staticReadOnly[key]
 }
 
 // ReadOnlyRoutes returns the effective classification for every route.
 func (a *App) ReadOnlyRoutes() map[string]bool {
 	out := make(map[string]bool, len(a.routes))
-	for _, rt := range a.routes {
-		out[rt.String()] = a.routeReadOnly(rt)
+	for _, key := range a.routeKeys {
+		out[key] = a.routeReadOnly(key)
 	}
 	return out
 }
 
 func marshalValue(resp *Response) error {
-	b, err := json.Marshal(script.ToJSONValue(resp.Value))
+	b, err := appendJSON(make([]byte, 0, 128), resp.Value)
 	if err != nil {
 		return fmt.Errorf("httpapp: marshaling response: %w", err)
 	}
@@ -443,9 +477,11 @@ func DBObject(db *sqldb.DB) *script.Object {
 
 func dbExec(db *sqldb.DB, c *script.Call) (any, error) {
 	q := c.StringArg(0)
-	args := make([]any, 0, len(c.Args)-1)
-	for _, a := range c.Args[1:] {
-		args = append(args, a)
+	// The statement runs within this call, so it may read the VM's
+	// argument slice directly.
+	var args []any
+	if len(c.Args) > 1 {
+		args = c.Args[1:]
 	}
 	var res *sqldb.Result
 	var err error
@@ -464,24 +500,21 @@ func dbExec(db *sqldb.DB, c *script.Call) (any, error) {
 		// Non-SELECT statements return their affected-row count.
 		return float64(res.Affected), nil
 	}
+	// Result rows are fresh maps owned by the caller: convert integers to
+	// the script's one number type in place and hand the maps over.
 	lst := script.NewList()
-	for _, row := range res.Rows {
-		m := make(map[string]any, len(row))
+	if len(res.Rows) > 0 {
+		lst.Elems = make([]any, len(res.Rows))
+	}
+	for i, row := range res.Rows {
 		for k, v := range row {
-			m[k] = dbToScript(v)
+			if n, ok := v.(int64); ok {
+				row[k] = float64(n)
+			}
 		}
-		lst.Elems = append(lst.Elems, m)
+		lst.Elems[i] = map[string]any(row)
 	}
 	return lst, nil
-}
-
-func dbToScript(v any) any {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	default:
-		return x
-	}
 }
 
 // FSObject wraps a filesystem as the script-visible fs object.

@@ -296,30 +296,56 @@ func TestRequestSizeAndClone(t *testing.T) {
 	}
 }
 
+// TestMatchPath pins route matching: slashes at either end are ignored,
+// the segment counts must agree, and ":name" captures one segment, empty
+// included.
 func TestMatchPath(t *testing.T) {
-	tests := []struct {
+	cases := []struct {
 		pattern, path string
 		ok            bool
 		params        map[string]string
 	}{
 		{"/books", "/books", true, map[string]string{}},
-		{"/books/:id", "/books/7", true, map[string]string{"id": "7"}},
-		{"/a/:x/b/:y", "/a/1/b/2", true, map[string]string{"x": "1", "y": "2"}},
+		{"/books", "/books/", true, map[string]string{}},
+		{"/books/", "books", true, map[string]string{}},
+		{"//books//", "/books", true, map[string]string{}},
+		{"/books", "/book", false, nil},
+		{"/", "/", true, map[string]string{}},
+		{"/", "", true, map[string]string{}},
+		{"", "/", true, map[string]string{}},
+		{"/books", "", false, nil},
+		{"/books/:id", "/books/17", true, map[string]string{"id": "17"}},
+		{"/books/:id", "/books/17/", true, map[string]string{"id": "17"}},
 		{"/books/:id", "/books", false, nil},
-		{"/books", "/movies", false, nil},
+		{"/books/:id", "/books/17/loans", false, nil},
+		{"/books/:id/loans", "/books/17", false, nil},
+		{"/:id", "/", true, map[string]string{"id": ""}},
+		{"/a/:x/b/:y", "/a/1/b/2", true, map[string]string{"x": "1", "y": "2"}},
+		{"/a/:x/b/:y", "/a/1/c/2", false, nil},
+		{"/a/:x", "/a//", false, nil},
+		{"/a/:x/c", "/a//c", true, map[string]string{"x": ""}},
+		{"/a/b", "/a//b", false, nil},
+		{"/x/:id", "/x/a:b", true, map[string]string{"id": "a:b"}},
+		{"/:", "/v", true, map[string]string{"": "v"}},
 	}
-	for _, tt := range tests {
-		params, ok := matchPath(tt.pattern, tt.path)
-		if ok != tt.ok {
-			t.Fatalf("matchPath(%q, %q) ok = %v", tt.pattern, tt.path, ok)
+	for _, c := range cases {
+		params, ok := matchPath(c.pattern, c.path)
+		if ok != c.ok {
+			t.Errorf("matchPath(%q, %q) ok = %v, want %v", c.pattern, c.path, ok, c.ok)
+			continue
 		}
-		if ok {
-			for k, v := range tt.params {
-				if params[k] != v {
-					t.Fatalf("param %q = %q, want %q", k, params[k], v)
-				}
+		if len(params) != len(c.params) || (params == nil) != (c.params == nil) {
+			t.Errorf("matchPath(%q, %q) = %v, want %v", c.pattern, c.path, params, c.params)
+			continue
+		}
+		for k, v := range c.params {
+			if params[k] != v {
+				t.Errorf("matchPath(%q, %q)[%q] = %q, want %q", c.pattern, c.path, k, params[k], v)
 			}
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { matchPath("/books/:id/loans", "/books/17") }); n != 0 {
+		t.Errorf("a route that does not match allocates %v times, want 0", n)
 	}
 }
 

@@ -354,20 +354,25 @@ func (db *DB) execSelect(s *selectStmt, args []any) (*Result, error) {
 		matched = matched[:s.limit]
 	}
 
+	// Each result row is one fresh map that shares no memory with the
+	// table, so the caller may modify it in place.
 	res := &Result{Cols: selectCols(s, t)}
+	if len(matched) > 0 {
+		res.Rows = make([]Row, 0, len(matched))
+	}
 	for _, row := range matched {
 		out := make(Row, len(res.Cols))
 		for i, item := range s.items {
 			if item.star {
 				for _, cd := range t.cols {
 					if v, ok := row[cd.name]; ok {
-						out[cd.name] = v
+						out[cd.name] = ownValue(v)
 					}
 				}
 				// Include non-declared columns too (schema-free rows).
 				for k, v := range row {
 					if _, exists := out[k]; !exists {
-						out[k] = v
+						out[k] = ownValue(v)
 					}
 				}
 				continue
@@ -376,11 +381,20 @@ func (db *DB) execSelect(s *selectStmt, args []any) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			out[itemName(s, i)] = v
+			out[itemName(s, i)] = ownValue(v)
 		}
-		res.Rows = append(res.Rows, out.clone())
+		res.Rows = append(res.Rows, out)
 	}
 	return res, nil
+}
+
+// ownValue returns v with a []byte copied, so a result value never
+// aliases the table's storage. Other values are immutable.
+func ownValue(v any) any {
+	if b, ok := v.([]byte); ok {
+		return append([]byte(nil), b...)
+	}
+	return v
 }
 
 func isAggregate(s *selectStmt) bool {
@@ -441,7 +455,7 @@ func execAggregate(s *selectStmt, rows []Row, args []any) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[name] = v
+		out[name] = ownValue(v)
 	}
 	return &Result{Cols: cols, Rows: []Row{out}}, nil
 }

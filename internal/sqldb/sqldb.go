@@ -211,6 +211,8 @@ type DB struct {
 	// keyScope, when set, is part of every synthetic row key this DB
 	// mints; see SetKeyScope.
 	keyScope string
+	// stmts holds the parsed statements of Exec and ExecReadOnly.
+	stmts stmtCache
 }
 
 // Open returns an empty database.
@@ -436,14 +438,15 @@ func (db *DB) RemoveRow(table, key string) {
 	t.removeKey(key)
 }
 
-// Exec parses and executes one SQL statement. Placeholders (?) are
+// Exec parses and executes one SQL statement; a text this DB has parsed
+// before is taken from its statement cache. Placeholders (?) are
 // substituted from args in order. SELECT statements run under the
 // shared lock: they read db.tables whether or not a transaction is
 // open (buffered transaction writes land in the live tables, with the
 // pre-transaction state parked in txSnap), never emit mutations, and
 // build fresh result rows — so concurrent selects are safe.
 func (db *DB) Exec(query string, args ...any) (*Result, error) {
-	stmt, err := parse(query)
+	stmt, err := db.stmts.get(query)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +465,7 @@ func (db *DB) Exec(query string, args ...any) (*Result, error) {
 // the database. Write-guarded (read-only) service invocations route
 // their db calls through it.
 func (db *DB) ExecReadOnly(query string, args ...any) (*Result, error) {
-	stmt, err := parse(query)
+	stmt, err := db.stmts.get(query)
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +596,9 @@ func (db *DB) execCreate(s *createStmt) (*Result, error) {
 	}
 	t := &tableData{
 		name: s.table,
-		cols: s.cols,
+		// A copy, so the table never shares memory with the cached
+		// statement.
+		cols: append([]colDef(nil), s.cols...),
 		rows: make(map[string]Row),
 	}
 	for _, c := range s.cols {
