@@ -141,8 +141,9 @@ func probeKeys(v any, dst []string) ([]string, bool) {
 	}
 	i := int64(f)
 	dst = append(dst, strconv.FormatInt(i, 10))
-	if fs := keyString(f); fs != dst[0] {
-		dst = append(dst, fs) // 1e+06 and up spell differently as floats
+	if i >= 1e6 || i <= -1e6 {
+		// Only from 1e+06 up does a float spell an integer differently.
+		dst = append(dst, keyString(f))
 	}
 	switch i {
 	case 0:

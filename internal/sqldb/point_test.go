@@ -9,13 +9,15 @@ import (
 )
 
 // pkProbes are primary-key probe values chosen where valuesEqual and
-// keyString disagree: int vs float spellings (1e+06), bool↔number,
+// keyString disagree: int vs float spellings (1e+06, -1e+06, and
+// 999999 just below where they start to differ), bool↔number,
 // negative zero, integers past 2^53, strings that look like numbers,
 // NULL and bytes.
 var pkProbes = []any{
 	int64(5), 5.0, "5", int(7), true, false, int64(0), math.Copysign(0, -1),
 	int64(1000000), 1e6, 2.5, "a", "", int64(1) << 53, int64(1)<<53 + 1,
 	float64(int64(1) << 53), nil, []byte("a"), int64(-3), -3.0, int64(42),
+	int64(999999), 999999.0, int64(-1000000), -1e6,
 }
 
 // pkStatements are the statements the differential run draws from;
@@ -55,7 +57,7 @@ func seedPointTables(t *testing.T, db *DB) {
 	mustExec(t, db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
 	mustExec(t, db, "CREATE TABLE u (a INT, b TEXT)")
 	for i, id := range []any{int64(5), int64(1000000), 1e6, 2.5, "a", true, math.Copysign(0, -1),
-		int64(1)<<53 + 1, int64(-3), "x"} {
+		int64(1)<<53 + 1, int64(-3), "x", -1e6, 999999.0} {
 		mustExec(t, db, "INSERT INTO t (id, v) VALUES (?, ?)", id, int64(i))
 		mustExec(t, db, "INSERT INTO u (a, b) VALUES (?, 'y')", int64(i%3))
 	}

@@ -30,12 +30,10 @@ func goldenFrames() map[string]*frame {
 	return map[string]*frame{
 		"hello": {
 			Kind: frameHello, From: "edge-1",
-			Heads:  Heads{CompJSON: {"cloud": 2, "edge-1": 3}, CompTables: {"cloud": 1}},
-			Window: 64, Compress: true,
+			Heads: Heads{CompJSON: {"cloud": 2, "edge-1": 3}, CompTables: {"cloud": 1}},
 		},
 		"state":     {Kind: frameState, Delta: Delta{CompJSON: {ch}}},
 		"heartbeat": {Kind: frameHeartbeat},
-		"ack":       {Kind: frameAck, Acked: 16},
 	}
 }
 
@@ -44,19 +42,17 @@ func goldenFrames() map[string]*frame {
 // repin — never repin under the same version byte.
 var goldenFrameHex = map[string]string{
 	// version, kind, from "edge-1", heads {json: {cloud 2, edge-1 3},
-	// tables: {cloud 1}}, no delta, window 64, compress, acked 0.
-	"hello": "0101" + "06656467652d31" +
+	// tables: {cloud 1}}, no delta.
+	"hello": "0201" + "06656467652d31" +
 		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401" +
-		"00" + "8001" + "01" + "00",
+		"00",
 	// version, kind, no from, no heads, delta {json: 71-byte change
-	// batch}, window 0, no compress, acked 0.
-	"state": "0102" + "00" + "00" +
+	// batch}.
+	"state": "0202" + "00" + "00" +
 		"01" + "046a736f6e" + "47" + "0101" + "06656467652d31" + "03" + "0105636c6f756402" + "00" + "02" +
 		"020906656467652d3104726f6f74016e000300000000000010400000" +
-		"020a06656467652d3104726f6f740166000502cafe0000" +
-		"00" + "00" + "00",
-	"heartbeat": "0103" + "00" + "00" + "00" + "00" + "00" + "00",
-	"ack":       "0104" + "00" + "00" + "00" + "00" + "00" + "20",
+		"020a06656467652d3104726f6f740166000502cafe0000",
+	"heartbeat": "0203" + "00" + "00" + "00",
 }
 
 func TestFrameGolden(t *testing.T) {
@@ -165,13 +161,7 @@ func genFrame(r *rand.Rand) *frame {
 			return crdt.Value{Kind: k}
 		}
 	}
-	f := &frame{
-		Kind:     frameKind(r.IntN(256)),
-		From:     str(),
-		Window:   int(r.Int64()),
-		Compress: r.IntN(2) == 1,
-		Acked:    int(r.Int64()),
-	}
+	f := &frame{Kind: frameKind(r.IntN(256)), From: str()}
 	if n := r.IntN(3); n > 0 {
 		f.Heads = Heads{}
 		for i := 0; i < n; i++ {
@@ -209,6 +199,8 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte(`{"kind":"hello"}`))
 	f.Add([]byte{})
 	f.Add([]byte{wireVersion})
+	// A version-1 ack frame (kind 4, acked 16), refused by version.
+	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0x20})
 	f.Add([]byte{wireVersion, byte(frameState), 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if fr, err := decodeFrame(data); err == nil {

@@ -17,9 +17,9 @@ type Endpoint struct {
 	State   *ReplicaState
 	Binding *Binding
 	// Persist, when set, write-ahead-logs every change that reaches this
-	// endpoint — inbound deltas before they are acknowledged, local
-	// changes at each refresh — so a crash never loses acknowledged
-	// state.
+	// endpoint — inbound deltas before they are acknowledged or
+	// forwarded, local changes at each refresh — so a crash never loses
+	// state a peer was told of.
 	Persist *Persister
 	// HeadsSource overrides the heads this endpoint declares when
 	// (re)handshaking. A durable deployment points it at the persister's
@@ -40,9 +40,10 @@ func (e *Endpoint) declaredHeads() Heads {
 // applyCount integrates an inbound delta, through the binding when
 // present, reporting how many changes were actually integrated — the
 // runtimes use it to account duplicates. The delta is persisted before
-// applyCount returns (persist-before-ack): the transport acknowledges
-// only after this, so the peer never advances past state the replica
-// could lose in a crash.
+// applyCount returns: the Manager acknowledges and the TCP master
+// forwards only after this, and a restarted TCP replica declares its
+// persisted heads in its hello, so no peer keeps a cursor past state
+// the replica could lose in a crash.
 func (e *Endpoint) applyCount(d Delta) (int, error) {
 	n, err := func() (int, error) {
 		if e.Binding != nil {

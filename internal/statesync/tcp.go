@@ -21,8 +21,10 @@ import (
 // point. The master is the hub between edges and forwards on events: a
 // cloud commit (TCPMaster.Do) or an edge delta it has applied and
 // persisted wakes the pushers of the other sessions at once, and its
-// own tick is only a fallback. TCP's reliable ordered delivery lets
-// acknowledgements advance optimistically on write.
+// own tick is only a fallback. TCP's reliable ordered delivery lets the
+// send cursor advance on write, and TCP's own flow control paces the
+// pusher: a session has one writer (its pusher) and a reader that never
+// writes, so a blocked write can never wait on its own reader.
 //
 // The transport is supervision-grade: a TCPEdge that loses its
 // connection reconnects with exponential backoff and jitter,
@@ -38,7 +40,7 @@ import (
 // transport is for deployments that span real processes.
 
 // Wire-level framing — the frame type, compression, vectored writes,
-// and the in-flight window — lives in wire.go.
+// and delta chunking — lives in wire.go.
 
 // badHelloErr describes a failed hello exchange without ever wrapping a
 // nil error: when the frame decoded but carried the wrong kind, the
@@ -68,20 +70,15 @@ type TCPStats struct {
 	// teardowns.
 	Connects    int64
 	Disconnects int64
-	// AcksSent/AcksRecv count state frames acknowledged via watermark
-	// acks (sent only between windowing-capable peers).
-	AcksSent int64
-	AcksRecv int64
 	// OpsElided counts CRDT ops dropped by pre-send coalescing — ops a
 	// later op in the same batch provably eclipsed.
 	OpsElided int64
-	// WindowStalls counts pushes the in-flight window cut short
-	// (backpressure from a slow peer); the ack that frees space wakes
-	// the pusher for the rest.
+	// WindowStalls counts pushes that needed more than one write: a
+	// delta of more than maxFramesPerWrite frames, shipped in chunks
+	// that TCP's flow control paces.
 	WindowStalls int64
 	// WokenPushes counts pushes started by a wake rather than the tick:
-	// the master's forwards and commits, and acks that reopened the
-	// window after a stall.
+	// the master's forwards and commits.
 	WokenPushes int64
 	// CompressedFrames counts outbound frames shipped flate-compressed.
 	CompressedFrames int64
@@ -125,9 +122,7 @@ type tcpObs struct {
 	edgesConnected, connState *obs.Gauge
 	// The statesync.batch family (mounted under the endpoint prefix)
 	// tracks the high-throughput send path: frames per vectored write,
-	// ops elided by coalescing, watermark acks, window backpressure,
-	// and compression.
-	batchAcksSent, batchAcksRecv          *obs.Counter
+	// ops elided by coalescing, multi-write pushes, and compression.
 	batchOpsElided, batchWindowStalls     *obs.Counter
 	batchCompressedFrames, batchWoken     *obs.Counter
 	batchFramesPerWrite, batchChangesSent *obs.Histogram
@@ -148,8 +143,6 @@ func newTCPObs(o *obs.Obs, prefix string) tcpObs {
 		duplicates:            o.Counter("statesync.duplicate_applies"),
 		edgesConnected:        o.Gauge(prefix + ".edges_connected"),
 		connState:             o.Gauge(prefix + ".conn_state"),
-		batchAcksSent:         o.Counter(prefix + ".batch.acks_sent"),
-		batchAcksRecv:         o.Counter(prefix + ".batch.acks_recv"),
 		batchOpsElided:        o.Counter(prefix + ".batch.ops_elided"),
 		batchWindowStalls:     o.Counter(prefix + ".batch.window_stalls"),
 		batchCompressedFrames: o.Counter(prefix + ".batch.compressed_frames"),
@@ -425,15 +418,7 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 	m.stats.BytesReceived += int64(n)
 	m.stats.FramesRecv++
 	m.o.bytesRecv.Add(int64(n))
-	reply := &frame{
-		Kind:  frameHello,
-		Heads: m.ep.declaredHeads(),
-		// Declare our window (asking the edge for acks) and accept
-		// compression only if both sides want it.
-		Window:   m.cfg.window(),
-		Compress: m.cfg.Compression && hello.Compress,
-	}
-	sent, err := writeFrame(conn, reply)
+	sent, err := writeFrame(conn, &frame{Kind: frameHello, Heads: m.ep.declaredHeads()})
 	m.stats.BytesSent += int64(sent)
 	m.stats.FramesSent++
 	m.o.bytesSent.Add(int64(sent))
@@ -459,7 +444,7 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 	// persisted the delta, so only durable state is forwarded.
 	s := &tcpSession{tcpSide: &m.tcpSide, known: &peerKnown, peer: "edge", wake: wake,
 		relay: func() { m.wakeLocked(conn) }}
-	s.run(conn, r, newWireConn(conn, m.cfg, hello))
+	s.run(conn, r)
 }
 
 // isTimeout reports whether err is a network deadline expiry.
@@ -509,13 +494,13 @@ func DialEdgeConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPEdge, error) 
 		stop:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	conn, r, wc, err := e.connect()
+	conn, r, err := e.connect()
 	if err != nil {
 		return nil, err
 	}
 	e.setState(ConnConnected, nil)
 	e.wg.Add(1)
-	go e.supervise(conn, r, wc)
+	go e.supervise(conn, r)
 	return e, nil
 }
 
@@ -578,10 +563,10 @@ func (e *TCPEdge) setState(s ConnState, err error) {
 // declares its current heads, the master replies with its own, and both
 // sides resume delta exchange from exactly that knowledge — the
 // re-handshake that makes a partition lossless and duplicate-free.
-func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, *wireConn, error) {
+func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, error) {
 	conn, err := e.cfg.dial(e.addr)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("statesync: dial: %w", err)
+		return nil, nil, fmt.Errorf("statesync: dial: %w", err)
 	}
 	if e.cfg.DialTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(e.cfg.DialTimeout))
@@ -601,13 +586,7 @@ func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, *wireConn, error) {
 	if perr != nil {
 		e.fail(perr)
 	}
-	n, err := writeFrame(conn, &frame{
-		Kind: frameHello, From: name, Heads: heads,
-		// Declare our window (asking the master for acks) and offer
-		// compression; the master's reply carries the conjunction.
-		Window:   e.cfg.window(),
-		Compress: e.cfg.Compression,
-	})
+	n, err := writeFrame(conn, &frame{Kind: frameHello, From: name, Heads: heads})
 	e.mu.Lock()
 	e.stats.BytesSent += int64(n)
 	e.stats.FramesSent++
@@ -615,13 +594,13 @@ func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, *wireConn, error) {
 	e.mu.Unlock()
 	if err != nil {
 		_ = conn.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	r := bufio.NewReader(conn)
 	hello, hn, err := readFrame(r)
 	if err != nil || hello.Kind != frameHello {
 		_ = conn.Close()
-		return nil, nil, nil, badHelloErr("master hello", hello, err)
+		return nil, nil, badHelloErr("master hello", hello, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	e.mu.Lock()
@@ -635,18 +614,18 @@ func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, *wireConn, error) {
 	e.mu.Unlock()
 	if e.stopped() {
 		_ = conn.Close()
-		return nil, nil, nil, net.ErrClosed
+		return nil, nil, net.ErrClosed
 	}
-	return conn, r, newWireConn(conn, e.cfg, hello), nil
+	return conn, r, nil
 }
 
 // supervise owns the edge's connection lifecycle: run a session until
 // the link fails, then reconnect with backoff and repeat, until Close
 // or (with MaxRetries set) the retry budget is exhausted.
-func (e *TCPEdge) supervise(conn net.Conn, r *bufio.Reader, wc *wireConn) {
+func (e *TCPEdge) supervise(conn net.Conn, r *bufio.Reader) {
 	defer e.wg.Done()
 	for {
-		e.runSession(conn, r, wc)
+		e.runSession(conn, r)
 		e.mu.Lock()
 		e.conn = nil
 		e.stats.Disconnects++
@@ -658,7 +637,7 @@ func (e *TCPEdge) supervise(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 		}
 		e.setState(ConnReconnecting, nil)
 		var ok bool
-		conn, r, wc, ok = e.reconnect()
+		conn, r, ok = e.reconnect()
 		if !ok {
 			return
 		}
@@ -673,48 +652,47 @@ func (e *TCPEdge) supervise(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 // reconnect retries connect under the backoff schedule. It returns
 // ok=false when Close intervened or MaxRetries was exhausted (the
 // terminal state is recorded before returning).
-func (e *TCPEdge) reconnect() (net.Conn, *bufio.Reader, *wireConn, bool) {
+func (e *TCPEdge) reconnect() (net.Conn, *bufio.Reader, bool) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if e.cfg.MaxRetries > 0 && attempt >= e.cfg.MaxRetries {
 			err := fmt.Errorf("statesync: giving up after %d reconnect attempts: %w", attempt, lastErr)
 			e.setState(ConnDisconnected, err)
 			e.fail(err)
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		delay := e.cfg.Backoff.Delay(attempt, e.rng)
 		select {
 		case <-e.stop:
 			e.setState(ConnDisconnected, nil)
-			return nil, nil, nil, false
+			return nil, nil, false
 		case <-time.After(delay):
 		}
 		e.mu.Lock()
 		e.status.DialAttempts++
 		e.mu.Unlock()
-		conn, r, wc, err := e.connect()
+		conn, r, err := e.connect()
 		if err != nil {
 			lastErr = err
 			e.o.dialErrors.Add(1)
 			e.setState(ConnReconnecting, err)
 			continue
 		}
-		return conn, r, wc, true
+		return conn, r, true
 	}
 }
 
 // runSession drives one live connection until it is unusable; the
 // connection is closed on return.
-func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader, wc *wireConn) {
-	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master",
-		wake: make(chan struct{}, 1)}).run(conn, r, wc)
+func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader) {
+	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master"}).run(conn, r)
 }
 
 // tcpSession is the replication step both ends of a TCP link run once
-// the hello exchange is done: a pusher goroutine ships deltas and
-// heartbeats while the reader (the calling goroutine) applies inbound
-// state frames and acknowledges them. Master and edge differ only in
-// the fields below.
+// the hello exchange is done: a pusher goroutine, the connection's only
+// writer, ships deltas and heartbeats while the reader (the calling
+// goroutine) applies inbound state frames and never writes. Master and
+// edge differ only in the fields below.
 type tcpSession struct {
 	*tcpSide
 	// known is the send cursor — the peer's knowledge of our state —
@@ -724,9 +702,8 @@ type tcpSession struct {
 	halt <-chan struct{}
 	// peer names the other side in the dead-peer error.
 	peer string
-	// wake starts a push ahead of the tick. The reader signals it when an
-	// ack reopens a window that cut the last push short; the master also
-	// signals it on a cloud commit or to relay another edge's delta.
+	// wake starts a push ahead of the tick: the master signals it on a
+	// cloud commit or to relay another edge's delta. An edge has none.
 	wake chan struct{}
 	// relay, when set, runs under mu after an inbound state frame
 	// integrated new changes (the master wakes its other sessions).
@@ -735,7 +712,7 @@ type tcpSession struct {
 
 // run drives one live connection: the read deadline declares a silent
 // peer dead. It returns once the connection is unusable and closes it.
-func (s *tcpSession) run(conn net.Conn, r *bufio.Reader, wc *wireConn) {
+func (s *tcpSession) run(conn net.Conn, r *bufio.Reader) {
 	stop := make(chan struct{})
 	var once sync.Once
 	shutdown := func() { once.Do(func() { close(stop); _ = conn.Close() }) }
@@ -745,9 +722,9 @@ func (s *tcpSession) run(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 	go func() {
 		defer s.wg.Done()
 		defer shutdown()
-		s.push(wc, stop)
+		s.push(&wireConn{c: conn, compress: s.cfg.Compression}, stop)
 	}()
-	s.read(conn, r, wc)
+	s.read(conn, r)
 }
 
 // push ships the deltas the peer is missing on every tick and every
@@ -769,7 +746,7 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 		case <-s.halt:
 			return
 		case <-hbC:
-			if err := wc.writeFrames(s.credit(frameHeartbeat, 0), &frame{Kind: frameHeartbeat}); err != nil {
+			if err := wc.writeFrames(s.credit(frameHeartbeat), &frame{Kind: frameHeartbeat}); err != nil {
 				s.fail(err)
 				return
 			}
@@ -787,9 +764,10 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 	}
 }
 
-// pushDelta ships everything the peer is missing; woken marks a push a
-// wake started rather than the tick. Only a write error is returned: it
-// ends the session.
+// pushDelta ships everything the peer is missing, at most
+// maxFramesPerWrite frames per write; woken marks a push a wake started
+// rather than the tick. Only a write error is returned: it ends the
+// session.
 func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 	s.mu.Lock()
 	if err := s.ep.refresh(); err != nil {
@@ -805,54 +783,47 @@ func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 		return nil
 	}
 	frames, elided := buildStateFrames(delta, s.cfg.batchChanges(), true)
-	granted := wc.reserveUpTo(len(frames))
-	if granted < len(frames) {
-		// Window backpressure: the peer has not acked enough of what we
-		// already pipelined. Ship what fits (possibly nothing); the cursor
-		// only advances past what was sent, and reserveUpTo recorded the
-		// backlog, so the ack that frees space wakes us for the rest.
-		s.mu.Lock()
-		s.stats.WindowStalls++
-		s.o.batchWindowStalls.Add(1)
-		s.mu.Unlock()
-		if granted == 0 {
-			return nil
-		}
-	}
-	sent := frames[:granted]
 	// Like the frames themselves (credited inside writeFrames), the push
 	// is counted before the write, so the stats never trail the peer.
 	s.mu.Lock()
 	s.stats.OpsElided += int64(elided)
 	s.o.batchOpsElided.Add(int64(elided))
+	if len(frames) > maxFramesPerWrite {
+		s.stats.WindowStalls++
+		s.o.batchWindowStalls.Add(1)
+	}
 	if woken {
 		s.stats.WokenPushes++
 		s.o.batchWoken.Add(1)
 	}
-	s.o.batchFramesPerWrite.Observe(float64(len(sent)))
 	s.o.batchChangesSent.Observe(float64(delta.Changes()))
 	s.mu.Unlock()
-	if err := wc.writeFrames(s.credit(frameState, 0), sent...); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	// Merge, never assign: while the lock was released for the write,
-	// the reader may have advanced the cursor past changes the peer
-	// shipped us; heads predates them.
-	if granted == len(frames) {
-		*s.known = mergeHeads(*s.known, heads)
-	} else {
-		for _, f := range sent {
+	for len(frames) > 0 {
+		chunk := frames[:min(len(frames), maxFramesPerWrite)]
+		frames = frames[len(chunk):]
+		if err := wc.writeFrames(s.credit(frameState), chunk...); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.o.batchFramesPerWrite.Observe(float64(len(chunk)))
+		// Merge, never assign: while the lock was released for the write,
+		// the reader may have advanced the cursor past changes the peer
+		// shipped us. The cursor passes exactly what was written; after the
+		// last chunk, heads also covers the ops coalescing elided.
+		for _, f := range chunk {
 			*s.known = advanceHeads(*s.known, f.Delta)
 		}
+		if len(frames) == 0 {
+			*s.known = mergeHeads(*s.known, heads)
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	return nil
 }
 
-// read applies inbound state frames, counts heartbeats and acks, and
-// treats a silent peer as dead once the read deadline lapses.
-func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
+// read applies inbound state frames, counts heartbeats, and treats a
+// silent peer as dead once the read deadline lapses. It never writes.
+func (s *tcpSession) read(conn net.Conn, r *bufio.Reader) {
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
@@ -864,7 +835,6 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			}
 			return
 		}
-		ackNow := 0
 		s.mu.Lock()
 		s.stats.BytesReceived += int64(n)
 		s.stats.FramesRecv++
@@ -874,12 +844,6 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 		case frameHeartbeat:
 			s.stats.HeartbeatsRecv++
 			s.o.heartbeatsRecv.Add(1)
-		case frameAck:
-			if wc.ackRecv(f.Acked) {
-				poke(s.wake)
-			}
-			s.stats.AcksRecv += int64(f.Acked)
-			s.o.batchAcksRecv.Add(int64(f.Acked))
 		case frameState:
 			recv := int64(f.Delta.Changes())
 			s.stats.ChangesRecv += recv
@@ -893,9 +857,8 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			*s.known = advanceHeads(*s.known, f.Delta)
 			if applyErr == nil {
 				s.o.duplicates.Add(recv - int64(applied))
-				// The delta is applied and persisted (persist-before-ack
-				// inside applyCount) — safe to acknowledge, and to forward.
-				ackNow = wc.noteState(r.Buffered() == 0)
+				// The delta is applied and persisted (inside applyCount),
+				// so it is safe to forward.
 				if applied > 0 && s.relay != nil {
 					s.relay()
 				}
@@ -906,18 +869,12 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 			s.fail(applyErr)
 			return
 		}
-		if ackNow > 0 {
-			if err := wc.writeFrames(s.credit(frameAck, ackNow), &frame{Kind: frameAck, Acked: ackNow}); err != nil {
-				s.fail(err)
-				return
-			}
-		}
 	}
 }
 
 // credit returns the writeFrames callback that adds a write of kind
-// frames to the sent-side stats; each ack frame carries acked acks.
-func (s *tcpSession) credit(kind frameKind, acked int) func(n, frames, compressed int) {
+// frames to the sent-side stats.
+func (s *tcpSession) credit(kind frameKind) func(n, frames, compressed int) {
 	return func(n, frames, compressed int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -926,13 +883,9 @@ func (s *tcpSession) credit(kind frameKind, acked int) func(n, frames, compresse
 		s.stats.CompressedFrames += int64(compressed)
 		s.o.bytesSent.Add(int64(n))
 		s.o.batchCompressedFrames.Add(int64(compressed))
-		switch kind {
-		case frameHeartbeat:
+		if kind == frameHeartbeat {
 			s.stats.HeartbeatsSent += int64(frames)
 			s.o.heartbeatsSent.Add(int64(frames))
-		case frameAck:
-			s.stats.AcksSent += int64(frames * acked)
-			s.o.batchAcksSent.Add(int64(frames * acked))
 		}
 	}
 }

@@ -406,6 +406,7 @@ func TestTCPConfigValidation(t *testing.T) {
 		{"multiplier below one", func(c *TCPConfig) { c.Backoff.Multiplier = 0.5 }},
 		{"jitter out of range", func(c *TCPConfig) { c.Backoff.Jitter = 1 }},
 		{"negative retries", func(c *TCPConfig) { c.MaxRetries = -1 }},
+		{"negative batch changes", func(c *TCPConfig) { c.MaxBatchChanges = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := base

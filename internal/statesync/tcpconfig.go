@@ -70,57 +70,22 @@ type TCPConfig struct {
 	// Seed makes the backoff jitter deterministic (0 is a valid seed).
 	Seed int64
 
-	// Compression enables per-frame flate (level 1) compression for
-	// frames of at least MinCompressBytes. It takes effect only when
-	// both peers enable it — the hello exchange negotiates — so it is
-	// safe to roll out one side at a time.
+	// Compression enables flate (level 1) compression of this side's
+	// outbound frames whose payload is at least 512 bytes, kept only
+	// when smaller. Each sender decides for itself: a reader inflates
+	// any frame flagged compressed, so the two sides need not agree.
 	Compression bool
-	// MinCompressBytes is the smallest frame payload worth compressing
-	// (0 = default 512). Small frames skip compression: the flate
-	// header overhead exceeds the win.
-	MinCompressBytes int
 	// MaxBatchChanges caps the CRDT changes carried by one state frame;
-	// a larger delta is chunked into several frames shipped in a single
-	// vectored write (0 = default 64, negative = unlimited).
+	// a larger delta is chunked into several frames (0 = default 64).
 	MaxBatchChanges int
-	// MaxInFlight bounds unacknowledged outbound state frames; a push
-	// the full window cuts short resumes when a watermark ack frees
-	// space, so a slow peer never accumulates an unbounded backlog
-	// (0 = default 32, negative = windowing disabled). Windowing also
-	// disables itself toward peers that predate acks.
-	MaxInFlight int
-}
-
-// minCompressBytes resolves the effective compression threshold.
-func (c TCPConfig) minCompressBytes() int {
-	if c.MinCompressBytes > 0 {
-		return c.MinCompressBytes
-	}
-	return 512
 }
 
 // batchChanges resolves the effective per-frame change cap.
 func (c TCPConfig) batchChanges() int {
-	switch {
-	case c.MaxBatchChanges > 0:
+	if c.MaxBatchChanges > 0 {
 		return c.MaxBatchChanges
-	case c.MaxBatchChanges < 0:
-		return int(^uint(0) >> 1) // unlimited
-	default:
-		return 64
 	}
-}
-
-// window resolves the effective in-flight window (0 = disabled).
-func (c TCPConfig) window() int {
-	switch {
-	case c.MaxInFlight > 0:
-		return c.MaxInFlight
-	case c.MaxInFlight < 0:
-		return 0
-	default:
-		return 32
-	}
+	return 64
 }
 
 // DefaultTCPConfig returns the supervision-grade defaults at the given
@@ -187,6 +152,9 @@ func (c TCPConfig) Validate() error {
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("statesync: max retries %d negative", c.MaxRetries)
+	}
+	if c.MaxBatchChanges < 0 {
+		return fmt.Errorf("statesync: max batch changes %d negative", c.MaxBatchChanges)
 	}
 	return nil
 }

@@ -9,23 +9,21 @@ import (
 	"io"
 	"net"
 	"sort"
-	"sync"
 
 	"repro/internal/crdt"
 )
 
 // This file is the TCP transport's wire layer: the binary frame codec,
-// optional per-frame flate compression negotiated in the hello
-// exchange, vectored multi-frame writes, and the bounded in-flight
-// window with watermark acknowledgements that lets the pusher pipeline
-// state frames without ever buffering an unbounded backlog at a slow
-// peer. tcp.go owns connection lifecycle and drives this layer.
+// optional per-frame flate compression, vectored multi-frame writes,
+// and the chunking of a delta into state frames. tcp.go owns connection
+// lifecycle and drives this layer. There is no flow control here: a
+// session's pusher is its connection's only writer, its reader never
+// writes, and TCP's own window blocks a write while the peer is slow.
 //
 // A frame on the wire is a 4-byte big-endian length word (top bit: the
 // payload is flate-compressed) followed by the payload:
 //
 //	payload := wireVersion(1B) kind(1B) string(from) heads delta
-//	           varint(window) compress(1B: 0|1) varint(acked)
 //	heads   := crdt.AppendVectors — per-component version vectors
 //	delta   := crdt.AppendComponents — the WAL's component batch record
 //	string  := uvarint(len) bytes
@@ -37,7 +35,7 @@ import (
 
 // wireVersion is the payload's first byte. Bump it on any layout change;
 // peers on different versions refuse each other's hello.
-const wireVersion byte = 1
+const wireVersion byte = 2
 
 // frameKind tags wire frames; it is the payload's second byte.
 type frameKind uint8
@@ -46,10 +44,6 @@ const (
 	frameHello     frameKind = 1
 	frameState     frameKind = 2
 	frameHeartbeat frameKind = 3
-	// frameAck acknowledges Acked state frames (watermark acks, sent
-	// only to peers that declared a window in their hello). Readers
-	// ignore kinds they do not know.
-	frameAck frameKind = 4
 )
 
 func (k frameKind) String() string {
@@ -60,34 +54,24 @@ func (k frameKind) String() string {
 		return "state"
 	case frameHeartbeat:
 		return "heartbeat"
-	case frameAck:
-		return "ack"
 	default:
 		return fmt.Sprintf("kind-%d", uint8(k))
 	}
 }
 
-// frame is the wire message.
+// frame is the wire message. A hello carries From and Heads, a state
+// frame Delta, a heartbeat nothing; readers ignore kinds they do not
+// know.
 type frame struct {
 	Kind  frameKind
 	From  string
 	Heads Heads
 	Delta Delta
-	// Window (hello only) declares the sender's in-flight state-frame
-	// cap; a nonzero value asks the receiver for watermark acks. Zero
-	// disables windowing toward the sender.
-	Window int
-	// Compress (hello only) offers/accepts per-frame compression. The
-	// edge offers its configured preference; the master replies with
-	// the conjunction, so both sides agree.
-	Compress bool
-	// Acked (ack only) is the number of state frames acknowledged.
-	Acked int
 }
 
 // frameSizeHint bounds the payload appendFrame writes for f.
 func frameSizeHint(f *frame) int {
-	return 2 + 3*binary.MaxVarintLen64 + 1 + len(f.From) +
+	return 2 + binary.MaxVarintLen64 + len(f.From) +
 		crdt.VectorsSizeHint(f.Heads) + crdt.ComponentsSizeHint(f.Delta)
 }
 
@@ -98,14 +82,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(f.From)))
 	dst = append(dst, f.From...)
 	dst = crdt.AppendVectors(dst, f.Heads)
-	dst = crdt.AppendComponents(dst, f.Delta)
-	dst = binary.AppendVarint(dst, int64(f.Window))
-	compress := byte(0)
-	if f.Compress {
-		compress = 1
-	}
-	dst = append(dst, compress)
-	return binary.AppendVarint(dst, int64(f.Acked))
+	return crdt.AppendComponents(dst, f.Delta)
 }
 
 // errFrameFormat is wrapped by every frame decoding failure.
@@ -133,15 +110,6 @@ func decodeFrame(b []byte) (*frame, error) {
 	delta, n, err := crdt.ReadComponents(d.b)
 	d.note(err, n)
 	f.Heads, f.Delta = heads, delta
-	f.Window = int(d.varint())
-	switch d.byte() {
-	case 0:
-	case 1:
-		f.Compress = true
-	default:
-		d.fail("compress flag is not 0 or 1")
-	}
-	f.Acked = int(d.varint())
 	if d.err == nil && len(d.b) > 0 {
 		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
 	}
@@ -198,16 +166,6 @@ func (d *frameDecoder) uvarint() uint64 {
 	return v
 }
 
-func (d *frameDecoder) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
 func (d *frameDecoder) take(n uint64) []byte {
 	if n > uint64(len(d.b)) {
 		d.fail("length overruns payload")
@@ -225,9 +183,8 @@ const maxFrameBytes = 64 << 20
 
 // frameCompressed marks a compressed payload in the length prefix. The
 // payload length of an uncompressed frame can never have this bit set
-// (maxFrameBytes < 1<<31), so old decoders reject compressed frames as
-// oversized instead of misparsing them — and compression is negotiated,
-// so they never see one.
+// (maxFrameBytes < 1<<31). Each sender decides for itself whether to
+// compress; readFrame inflates any frame that carries the bit.
 const frameCompressed = 1 << 31
 
 // putFrame encodes f as one wire blob — length word, then payload —
@@ -309,60 +266,32 @@ func readFrame(r io.Reader) (*frame, int, error) {
 	return f, int(size) + 4, nil
 }
 
-// wireConn wraps an established (post-hello) connection with the
-// negotiated session features: a write mutex so the pusher's state
-// frames and the reader's acks never interleave mid-frame, optional
-// outbound compression, and the send-side in-flight window plus
-// receive-side ack watermark.
+// minCompressBytes is the smallest frame payload worth compressing:
+// below it the flate header overhead exceeds the win.
+const minCompressBytes = 512
+
+// maxFramesPerWrite bounds the state frames one write carries, and so
+// the encoded bytes a push holds at once; a larger delta goes out in
+// several writes, each blocked by TCP's flow control while the peer is
+// slow.
+const maxFramesPerWrite = 32
+
+// wireConn is the write side of an established (post-hello)
+// connection. The session's pusher is its only writer, so fw and cbuf
+// (the reusable flate writer and its output buffer) need no lock.
 type wireConn struct {
 	c net.Conn
-
-	// wmu serializes whole writes; fw and cbuf (the reusable flate
-	// writer and its output buffer) are guarded by it.
-	wmu  sync.Mutex
-	fw   *flate.Writer
-	cbuf bytes.Buffer
-
-	// compress enables outbound compression for payloads of at least
-	// minCompress bytes; immutable after negotiation.
-	compress    bool
-	minCompress int
-
-	// sendWindow caps unacknowledged outbound state frames (0 = peer
-	// does not ack, windowing off). ackWatermark is the receive-side
-	// threshold at which pending inbound state frames are acknowledged
-	// (0 = peer does not window, never ack). Immutable after
-	// negotiation.
-	sendWindow   int
-	ackWatermark int
-
-	mu          sync.Mutex
-	inflight    int  // state frames written, not yet acked
-	pendingAcks int  // state frames applied, not yet acked
-	backlog     bool // the last reservation was cut short by the window
-}
-
-// newWireConn negotiates session features from the local config and the
-// peer's hello: compression iff both sides enabled it, send windowing
-// iff the peer declared a window (it promises acks), and watermark acks
-// toward any peer that windows.
-func newWireConn(c net.Conn, cfg TCPConfig, peer *frame) *wireConn {
-	w := &wireConn{
-		c:           c,
-		compress:    cfg.Compression && peer.Compress,
-		minCompress: cfg.minCompressBytes(),
-	}
-	if peer.Window > 0 {
-		w.sendWindow = cfg.window()
-		w.ackWatermark = max(1, peer.Window/4)
-	}
-	return w
+	// compress enables outbound compression of payloads of at least
+	// minCompressBytes.
+	compress bool
+	fw       *flate.Writer
+	cbuf     bytes.Buffer
 }
 
 // encodeWireFrame serializes f into one wire blob (length word +
-// payload) in a pooled buffer, compressing when negotiated and
-// worthwhile. The caller holds w.wmu and releases the buffer once the
-// blob is written. It reports whether the frame went out compressed.
+// payload) in a pooled buffer, compressing when enabled and
+// worthwhile. The caller releases the buffer once the blob is written.
+// It reports whether the frame went out compressed.
 func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
 	eb := crdt.GetEncodeBuffer()
 	blob, err := putFrame(eb, f)
@@ -371,7 +300,7 @@ func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
 		return nil, false, err
 	}
 	payload := blob[4:]
-	if !w.compress || len(payload) < w.minCompress {
+	if !w.compress || len(payload) < minCompressBytes {
 		return eb, false, nil
 	}
 	if w.fw == nil {
@@ -399,8 +328,6 @@ func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
 // that did not reach the wire: a frame counts as sent only when every
 // one of its bytes was written.
 func (w *wireConn) writeFrames(credit func(n, frames, compressed int), frames ...*frame) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
 	ebufs := make([]*crdt.EncodeBuffer, 0, len(frames))
 	defer func() {
 		for _, eb := range ebufs {
@@ -444,56 +371,6 @@ func (w *wireConn) writeFrames(credit func(n, frames, compressed int), frames ..
 	}
 	credit(int(n)-total, sent-len(frames), compressed-totalComp)
 	return err
-}
-
-// reserveUpTo claims as many of k requested window slots as fit,
-// returning the number granted (possibly 0). A push larger than the
-// free window goes out truncated — the caller ships the granted prefix
-// and the rest waits for an ack (see ackRecv) — so in-flight data stays
-// bounded no matter how large a delta gets.
-func (w *wireConn) reserveUpTo(k int) int {
-	if w.sendWindow == 0 {
-		return k
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	granted := min(k, max(0, w.sendWindow-w.inflight))
-	w.inflight += granted
-	w.backlog = granted < k
-	return granted
-}
-
-// ackRecv releases k window slots on an inbound ack. It reports, once,
-// whether the last reservation was cut short, so the caller wakes the
-// pusher for the rest; after a push the window did not cut, an ack
-// wakes no one.
-func (w *wireConn) ackRecv(k int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.inflight = max(0, w.inflight-k)
-	stalled := w.backlog
-	w.backlog = false
-	return stalled
-}
-
-// noteState records one applied inbound state frame and returns how
-// many to acknowledge now: pending reaches the watermark, or drained
-// reports the read buffer is empty (the burst is over, flush so the
-// sender's window frees promptly). Returns 0 toward peers that do not
-// window.
-func (w *wireConn) noteState(drained bool) int {
-	if w.ackWatermark == 0 {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pendingAcks++
-	if w.pendingAcks >= w.ackWatermark || drained {
-		k := w.pendingAcks
-		w.pendingAcks = 0
-		return k
-	}
-	return 0
 }
 
 // stateFrameOrder fixes the component emission order so chunked deltas

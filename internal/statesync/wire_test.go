@@ -149,80 +149,3 @@ func TestWriteFramesPartialWriteAccounting(t *testing.T) {
 		t.Fatalf("healthy conn: credit %v (first %v), want %v", got, first, want)
 	}
 }
-
-// TestReserveUpToPartialGrant pins window-boundary behavior: grants
-// shrink to the free window, hit zero when full, and windowing off
-// (sendWindow 0) grants everything.
-func TestReserveUpToPartialGrant(t *testing.T) {
-	wc := &wireConn{sendWindow: 4}
-	if got := wc.reserveUpTo(3); got != 3 {
-		t.Fatalf("first reserve = %d, want 3", got)
-	}
-	// Only one slot left: a 3-frame push gets a partial grant of 1.
-	if got := wc.reserveUpTo(3); got != 1 {
-		t.Fatalf("boundary reserve = %d, want 1", got)
-	}
-	// Window full: zero grant.
-	if got := wc.reserveUpTo(2); got != 0 {
-		t.Fatalf("full-window reserve = %d, want 0", got)
-	}
-	// Unwindowed peer: everything granted, nothing tracked.
-	open := &wireConn{}
-	if got := open.reserveUpTo(7); got != 7 {
-		t.Fatalf("unwindowed reserve = %d, want 7", got)
-	}
-}
-
-// TestAckRecvOverAckClamp pins ack bookkeeping: acks free exactly what
-// they cover, and a buggy or duplicate over-ack clamps at an empty
-// window instead of going negative (which would let inflight exceed the
-// window later).
-func TestAckRecvOverAckClamp(t *testing.T) {
-	wc := &wireConn{sendWindow: 4}
-	if got := wc.reserveUpTo(4); got != 4 {
-		t.Fatalf("reserve = %d, want 4", got)
-	}
-	wc.ackRecv(2)
-	if got := wc.reserveUpTo(4); got != 2 {
-		t.Fatalf("after ack 2: reserve = %d, want 2", got)
-	}
-	// Over-ack (peer acked more than is in flight): clamp to empty.
-	wc.ackRecv(10)
-	if got := wc.reserveUpTo(4); got != 4 {
-		t.Fatalf("after over-ack: reserve = %d, want full window 4", got)
-	}
-	// A second full window proves inflight never went negative.
-	if got := wc.reserveUpTo(1); got != 0 {
-		t.Fatalf("window should be exactly full, reserve = %d", got)
-	}
-}
-
-// TestNoteStateDrainedFlush pins receive-side ack emission: pending
-// frames accumulate to the watermark, a drained read buffer flushes
-// early, and peers that do not window never get acks.
-func TestNoteStateDrainedFlush(t *testing.T) {
-	wc := &wireConn{ackWatermark: 3}
-	if got := wc.noteState(false); got != 0 {
-		t.Fatalf("1 pending = %d acks, want 0", got)
-	}
-	if got := wc.noteState(false); got != 0 {
-		t.Fatalf("2 pending = %d acks, want 0", got)
-	}
-	if got := wc.noteState(false); got != 3 {
-		t.Fatalf("watermark hit = %d acks, want 3", got)
-	}
-	// Pending resets after a flush.
-	if got := wc.noteState(false); got != 0 {
-		t.Fatalf("post-flush pending = %d acks, want 0", got)
-	}
-	// Drained flush: the burst is over, ack immediately even below the
-	// watermark.
-	if got := wc.noteState(true); got != 2 {
-		t.Fatalf("drained flush = %d acks, want 2", got)
-	}
-	// Non-windowing peer: never ack.
-	off := &wireConn{}
-	if got := off.noteState(true); got != 0 {
-		t.Fatalf("unwindowed peer got %d acks, want 0", got)
-	}
-}
