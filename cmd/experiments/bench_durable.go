@@ -42,19 +42,19 @@ type recoveryBench struct {
 	Replayed   int     `json:"replayed_frames"`
 }
 
-// benchChanges builds n single-change records to feed the WAL.
+// benchChanges builds n single-change records to feed the WAL. Each
+// record is the delta since the previous heads, so it holds only its
+// own change and not the history before it.
 func benchChanges(n int) ([][]crdt.Change, error) {
 	d := crdt.NewDoc("bench")
 	out := make([][]crdt.Change, 0, n)
-	prev := 0
 	for i := 0; i < n; i++ {
+		since := d.Heads()
 		if err := d.PutScalar(crdt.RootObj, "k", float64(i)); err != nil {
 			return nil, err
 		}
 		d.Commit("")
-		chs := d.GetChanges(nil)
-		out = append(out, chs[prev:])
-		prev = len(chs)
+		out = append(out, d.GetChanges(since))
 	}
 	return out, nil
 }

@@ -7,7 +7,7 @@
 //	experiments -exp table2
 //	experiments -exp rtt|fig6b|fig7|fig8|fig9|fig10a|fig10b|accuracy|ablations
 //	experiments -exp bench -benchout BENCH_pipeline.json -durableout BENCH_durable.json -statesyncout BENCH_statesync.json -serveout BENCH_serve.json -placementout BENCH_placement.json
-//	experiments -exp benchserve|benchstatesync   — one report alone
+//	experiments -exp benchdurable|benchserve|benchstatesync   — one report alone
 package main
 
 import (
@@ -19,47 +19,30 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, rtt, table2, table2full, fig6b, fig7, fig8, fig9, fig10a, fig10b, accuracy, ablations, bench, benchserve, benchstatesync")
+	exp := flag.String("exp", "all", "experiment to run: all, rtt, table2, table2full, fig6b, fig7, fig8, fig9, fig10a, fig10b, accuracy, ablations, bench, benchdurable, benchserve, benchstatesync")
 	benchOut := flag.String("benchout", "BENCH_pipeline.json", "output path for the -exp bench perf report")
 	durableOut := flag.String("durableout", "BENCH_durable.json", "output path for the -exp bench durability report")
 	statesyncOut := flag.String("statesyncout", "BENCH_statesync.json", "output path for the -exp bench replication report")
 	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for the -exp bench serve-path report")
 	placementOut := flag.String("placementout", "BENCH_placement.json", "output path for the -exp bench placement report")
 	flag.Parse()
-	if *exp == "benchserve" {
-		if err := runBenchServe(*serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
+	pipeline := func() error { return runBench(*benchOut) }
+	durable := func() error { return runBenchDurable(*durableOut) }
+	statesync := func() error { return runBenchStatesync(*statesyncOut) }
+	serve := func() error { return runBenchServe(*serveOut) }
+	placement := func() error { return runBenchPlacement(*placementOut) }
+	reports := map[string][]func() error{
+		"bench":          {pipeline, durable, statesync, serve, placement},
+		"benchdurable":   {durable},
+		"benchserve":     {serve},
+		"benchstatesync": {statesync},
 	}
-	if *exp == "benchstatesync" {
-		if err := runBenchStatesync(*statesyncOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "bench" {
-		if err := runBench(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := runBenchDurable(*durableOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := runBenchStatesync(*statesyncOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := runBenchServe(*serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := runBenchPlacement(*placementOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+	if fns, ok := reports[*exp]; ok {
+		for _, fn := range fns {
+			if err := fn(); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+				os.Exit(1)
+			}
 		}
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // This file defines the stable binary wire/disk format for changes and
@@ -19,28 +20,82 @@ import (
 // decoder for the old one, or existing data directories stop
 // recovering.
 //
-// Layout (version 1), all integers unsigned varints unless noted:
+// Layout (version 2, written), all integers unsigned varints unless
+// noted:
 //
-//	changes   := version(1B) count change*
-//	change    := string(actor) uvarint(seq) vv string(msg) count op*
+//	changes   := version(1B=2) count string(actor)* count change*
+//	             — the actor table: each distinct actor of the record
+//	               once, in first-appearance order; below, actor means
+//	               an index into it
+//	change    := actor uvarint(seq) deps string(msg) count op*
+//	deps      := count (actor uvarint(seq))*   — in actor-table order
+//	op        := byte(head) [uvarint(type)] [uvarint(ts.counter)]
+//	             [actor(ts)] ref(obj) string(key) ref(elem) value
+//	             [uvarint(kind)] [varint(delta — zigzag)]
+//	head      := low 4 bits: the op type, or 15 when uvarint(type)
+//	             follows; 0x10: ts actor is the change's actor (no
+//	             actor(ts)); 0x20: ts counter is the previous op's
+//	             counter + 1, the previous op of the record, 0 before
+//	             the first (no counter); 0x40: kind follows (else 0);
+//	             0x80: delta follows (else 0)
+//	ref       := uvarint(len<<1) len bytes     — a literal string
+//	           | uvarint(actor<<1 | 1) uvarint(counter)
+//	             — FormatUint(counter) + "@" + the actor, written so
+//	               only when the string is exactly that with a
+//	               non-empty actor ("root", "007@a", "1@" are literals)
+//	value     := byte(kind) payload
+//	             payload: str → string; obj → ref; num → 8B LE float
+//	             bits; bool → 1B; bytes → bytes; null/zero → empty
+//	           | byte(0x83) varint(n — zigzag)
+//	             — a number that is an integer of magnitude ≤ 2^53 and
+//	               not −0; NaN, ±Inf, −0 and fractions keep 8B
+//	string    := uvarint(len) len bytes
+//	vector    := version(1B) vv
 //	vv        := count (string(actor) uvarint(seq))*   — actors sorted
+//
+// Layout (version 1, still decoded: WAL records written before version
+// 2 must recover):
+//
+//	changes   := version(1B=1) count change*
+//	change    := string(actor) uvarint(seq) vv string(msg) count op*
 //	op        := byte(type) uvarint(ts.counter) string(ts.actor)
 //	             string(obj) string(key) string(elem) value
 //	             byte(kind) varint(delta — zigzag)
 //	value     := byte(kind) payload
 //	             payload: str/obj → string; num → 8B LE float bits;
 //	             bool → 1B; bytes → bytes; null/zero → empty
-//	string    := uvarint(len) len bytes
-//	vector    := version(1B) vv
 //
-// Determinism: version-vector actors are emitted in sorted order, so
-// equal inputs always produce identical bytes (the golden tests depend
-// on this).
+// The version-vector layout is the same in both versions.
+//
+// Determinism: version-vector actors are emitted in sorted order, the
+// actor table in first-appearance order (a change's new dependency
+// actors in sorted order), and dependencies in table order, so equal
+// inputs always produce identical bytes (the golden tests depend on
+// this).
 
-// BinaryFormatVersion is the current on-disk/on-wire format version.
-// Decoders accept exactly this version; bump it together with a
-// migration path when the layout changes.
-const BinaryFormatVersion byte = 1
+// BinaryFormatVersion is the on-disk/on-wire format version the encoder
+// writes. Decoders accept it and binaryFormatV1; bump it together with
+// a decoder for the old layout when the layout changes.
+const BinaryFormatVersion byte = 2
+
+// binaryFormatV1 is the previous layout, which decoders still read.
+const binaryFormatV1 byte = 1
+
+// Version-2 op head flags and the escaped-type marker (see the layout).
+const (
+	opTypeEscape  = 0x0f
+	opSameActor   = 0x10
+	opNextCounter = 0x20
+	opHasKind     = 0x40
+	opHasDelta    = 0x80
+)
+
+// tagIntNum is the version-2 value tag of a number written as a zigzag
+// varint.
+const tagIntNum = 0x80 | byte(ValNum)
+
+// maxExactInt bounds the integers a float64 holds exactly.
+const maxExactInt = 1 << 53
 
 // ErrBinaryFormat is wrapped by every binary decoding failure.
 var ErrBinaryFormat = fmt.Errorf("crdt: malformed binary encoding")
@@ -67,6 +122,11 @@ func decodeChanges(b []byte, intern *atomTable) ([]Change, error) {
 		return nil, err
 	}
 	d.intern = intern
+	if d.version != binaryFormatV1 {
+		if err := d.actorTable(); err != nil {
+			return nil, err
+		}
+	}
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -121,78 +181,259 @@ func appendBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-func appendVV(buf []byte, vv VersionVector) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vv)))
-	if len(vv) == 0 {
-		return buf
-	}
-	// Version vectors are tiny (one entry per actor), and this runs once
-	// per change on the encode hot path: sort on a stack array with
-	// insertion sort so the common case allocates nothing.
-	var arr [16]ActorID
-	actors := arr[:0]
-	if len(vv) > len(arr) {
-		actors = make([]ActorID, 0, len(vv))
-	}
+// sortedActors collects vv's actors into buf (a caller's stack array,
+// so small vectors allocate nothing) in sorted order. Version vectors
+// are tiny (one entry per actor), and this runs once per change on the
+// encode hot path, so it sorts by insertion.
+func sortedActors(vv VersionVector, buf []ActorID) []ActorID {
 	for a := range vv {
-		actors = append(actors, a)
+		buf = append(buf, a)
 	}
-	for i := 1; i < len(actors); i++ {
-		for j := i; j > 0 && actors[j] < actors[j-1]; j-- {
-			actors[j], actors[j-1] = actors[j-1], actors[j]
+	for i := 1; i < len(buf); i++ {
+		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
-	for _, a := range actors {
+	return buf
+}
+
+func appendVV(buf []byte, vv VersionVector) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vv)))
+	var arr [16]ActorID
+	for _, a := range sortedActors(vv, arr[:0]) {
 		buf = appendString(buf, string(a))
 		buf = binary.AppendUvarint(buf, vv[a])
 	}
 	return buf
 }
 
-func appendChange(buf []byte, ch Change) []byte {
-	buf = appendString(buf, string(ch.Actor))
-	buf = binary.AppendUvarint(buf, ch.Seq)
-	buf = appendVV(buf, ch.Deps)
-	buf = appendString(buf, ch.Msg)
-	buf = binary.AppendUvarint(buf, uint64(len(ch.Ops)))
-	for _, op := range ch.Ops {
-		buf = appendOp(buf, op)
+// splitRef parses s as FormatUint(counter) + "@" + actor with a
+// non-empty actor, the only form a ref encodes; anything else stays a
+// literal. The actor is the whole rest, '@' included.
+func splitRef(s string) (uint64, ActorID, bool) {
+	var c uint64
+	for i := 0; i < len(s); i++ {
+		if s[i] == '@' {
+			if i == 0 || i == len(s)-1 || (s[0] == '0' && i > 1) {
+				return 0, "", false
+			}
+			return c, ActorID(s[i+1:]), true
+		}
+		digit := uint64(s[i] - '0')
+		if digit > 9 || c > (math.MaxUint64-digit)/10 {
+			return 0, "", false
+		}
+		c = c*10 + digit
 	}
-	return buf
+	return 0, "", false
 }
 
-func appendOp(buf []byte, op Op) []byte {
-	buf = append(buf, byte(op.Type))
-	buf = binary.AppendUvarint(buf, op.TS.Counter)
-	buf = appendString(buf, string(op.TS.Actor))
-	buf = appendString(buf, string(op.Obj))
-	buf = appendString(buf, op.Key)
-	buf = appendString(buf, op.Elem)
-	buf = appendValue(buf, op.Val)
-	buf = append(buf, byte(op.Kind))
-	buf = binary.AppendVarint(buf, op.Delta)
-	return buf
+// integral reports f as an int64 when the varint form round-trips it
+// exactly: an integer of magnitude at most 2^53 that is not −0. NaN
+// fails the first test.
+func integral(f float64) (int64, bool) {
+	if f != math.Trunc(f) || f > maxExactInt || f < -maxExactInt || (f == 0 && math.Signbit(f)) {
+		return 0, false
+	}
+	return int64(f), true
 }
 
-func appendValue(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.Kind))
+// actorTable is a version-2 record's actor table on the encode side:
+// each distinct actor once, in first-appearance order. The first
+// maxScanActors sit in an inline array that lookups scan, so a record
+// of a few actors allocates nothing; past it a map indexes them all.
+type actorTable struct {
+	inline [maxScanActors]ActorID
+	n      int
+	more   []ActorID
+	index  map[ActorID]uint64
+}
+
+const maxScanActors = 16
+
+func (t *actorTable) find(a ActorID) (uint64, bool) {
+	if t.index != nil {
+		i, ok := t.index[a]
+		return i, ok
+	}
+	for i := 0; i < t.n; i++ {
+		if t.inline[i] == a {
+			return uint64(i), true
+		}
+	}
+	return 0, false
+}
+
+func (t *actorTable) add(a ActorID) {
+	if _, ok := t.find(a); ok {
+		return
+	}
+	if t.n < len(t.inline) {
+		t.inline[t.n] = a
+		t.n++
+		return
+	}
+	if t.index == nil {
+		t.index = make(map[ActorID]uint64, 2*len(t.inline))
+		for i, b := range t.inline {
+			t.index[b] = uint64(i)
+		}
+	}
+	t.index[a] = uint64(len(t.inline) + len(t.more))
+	t.more = append(t.more, a)
+}
+
+// lookup returns the index of an actor collect added.
+func (t *actorTable) lookup(a ActorID) uint64 {
+	i, _ := t.find(a)
+	return i
+}
+
+func (t *actorTable) addRef(s string) {
+	if _, a, ok := splitRef(s); ok {
+		t.add(a)
+	}
+}
+
+// collect adds ch's actors in the order appendChange writes them.
+func (t *actorTable) collect(ch *Change) {
+	t.add(ch.Actor)
+	if t.newDeps(ch.Deps) {
+		// New dependency actors join in sorted order, so the table does
+		// not depend on map iteration order.
+		var arr [16]ActorID
+		for _, a := range sortedActors(ch.Deps, arr[:0]) {
+			t.add(a)
+		}
+	}
+	for i := range ch.Ops {
+		op := &ch.Ops[i]
+		t.add(op.TS.Actor)
+		t.addRef(string(op.Obj))
+		t.addRef(op.Elem)
+		if op.Val.Kind == ValObj {
+			t.addRef(string(op.Val.Obj))
+		}
+	}
+}
+
+// newDeps reports whether deps names an actor the table lacks. It
+// probes deps with the table's actors rather than iterating the map:
+// a record's changes mostly depend on actors it already named.
+func (t *actorTable) newDeps(deps VersionVector) bool {
+	known := 0
+	t.each(func(_ uint64, a ActorID) {
+		if _, ok := deps[a]; ok {
+			known++
+		}
+	})
+	return known < len(deps)
+}
+
+// each calls fn with every actor in table order.
+func (t *actorTable) each(fn func(uint64, ActorID)) {
+	for i, a := range t.inline[:t.n] {
+		fn(uint64(i), a)
+	}
+	for i, a := range t.more {
+		fn(uint64(len(t.inline)+i), a)
+	}
+}
+
+func (t *actorTable) appendChange(dst []byte, ch *Change, prev *uint64) []byte {
+	dst = binary.AppendUvarint(dst, t.lookup(ch.Actor))
+	dst = binary.AppendUvarint(dst, ch.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(ch.Deps)))
+	if len(ch.Deps) > 0 {
+		t.each(func(i uint64, a ActorID) {
+			if seq, ok := ch.Deps[a]; ok {
+				dst = binary.AppendUvarint(dst, i)
+				dst = binary.AppendUvarint(dst, seq)
+			}
+		})
+	}
+	dst = appendString(dst, ch.Msg)
+	dst = binary.AppendUvarint(dst, uint64(len(ch.Ops)))
+	for i := range ch.Ops {
+		dst = t.appendOp(dst, &ch.Ops[i], ch.Actor, prev)
+	}
+	return dst
+}
+
+func (t *actorTable) appendOp(dst []byte, op *Op, actor ActorID, prev *uint64) []byte {
+	head := byte(opTypeEscape)
+	if op.Type >= 0 && op.Type < opTypeEscape {
+		head = byte(op.Type)
+	}
+	if op.TS.Actor == actor {
+		head |= opSameActor
+	}
+	if op.TS.Counter == *prev+1 {
+		head |= opNextCounter
+	}
+	*prev = op.TS.Counter
+	if op.Kind != 0 {
+		head |= opHasKind
+	}
+	if op.Delta != 0 {
+		head |= opHasDelta
+	}
+	dst = append(dst, head)
+	if head&opTypeEscape == opTypeEscape {
+		dst = binary.AppendUvarint(dst, uint64(op.Type))
+	}
+	if head&opNextCounter == 0 {
+		dst = binary.AppendUvarint(dst, op.TS.Counter)
+	}
+	if head&opSameActor == 0 {
+		dst = binary.AppendUvarint(dst, t.lookup(op.TS.Actor))
+	}
+	dst = t.appendRef(dst, string(op.Obj))
+	dst = appendString(dst, op.Key)
+	dst = t.appendRef(dst, op.Elem)
+	dst = t.appendValue(dst, op.Val)
+	if op.Kind != 0 {
+		dst = binary.AppendUvarint(dst, uint64(op.Kind))
+	}
+	if op.Delta != 0 {
+		dst = binary.AppendVarint(dst, op.Delta)
+	}
+	return dst
+}
+
+func (t *actorTable) appendRef(dst []byte, s string) []byte {
+	if c, a, ok := splitRef(s); ok {
+		dst = binary.AppendUvarint(dst, t.lookup(a)<<1|1)
+		return binary.AppendUvarint(dst, c)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(s))<<1)
+	return append(dst, s...)
+}
+
+func (t *actorTable) appendValue(dst []byte, v Value) []byte {
+	if v.Kind == ValNum {
+		if n, ok := integral(v.Num); ok {
+			return binary.AppendVarint(append(dst, tagIntNum), n)
+		}
+	}
+	dst = append(dst, byte(v.Kind))
 	switch v.Kind {
 	case ValStr:
-		buf = appendString(buf, v.Str)
+		dst = appendString(dst, v.Str)
 	case ValNum:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Num))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Num))
 	case ValBool:
 		if v.Bool {
-			buf = append(buf, 1)
+			dst = append(dst, 1)
 		} else {
-			buf = append(buf, 0)
+			dst = append(dst, 0)
 		}
 	case ValBytes:
-		buf = appendBytes(buf, v.Bytes)
+		dst = appendBytes(dst, v.Bytes)
 	case ValObj:
-		buf = appendString(buf, string(v.Obj))
+		dst = t.appendRef(dst, string(v.Obj))
 	}
-	return buf
+	return dst
 }
 
 // ---- decoding ----
@@ -203,9 +444,16 @@ func appendValue(buf []byte, v Value) []byte {
 type binDecoder struct {
 	b   []byte
 	pos int
+	// version is the record's format version; the vector layout is the
+	// same in every version.
+	version byte
 	// intern, when set, is the decode call's table of actor, object and
 	// key strings (see atom).
 	intern *atomTable
+	// actors is a version-2 record's actor table; prev is the previous
+	// op's counter.
+	actors []ActorID
+	prev   uint64
 }
 
 // atomTable interns the strings that repeat within one decoded batch:
@@ -223,11 +471,11 @@ func newBinDecoder(b []byte) (binDecoder, error) {
 	if len(b) == 0 {
 		return binDecoder{}, fmt.Errorf("%w: empty input", ErrBinaryFormat)
 	}
-	if b[0] != BinaryFormatVersion {
-		return binDecoder{}, fmt.Errorf("%w: unsupported format version %d (want %d)",
-			ErrBinaryFormat, b[0], BinaryFormatVersion)
+	if b[0] != BinaryFormatVersion && b[0] != binaryFormatV1 {
+		return binDecoder{}, fmt.Errorf("%w: unsupported format version %d (want %d or %d)",
+			ErrBinaryFormat, b[0], binaryFormatV1, BinaryFormatVersion)
 	}
-	return binDecoder{b: b, pos: 1}, nil
+	return binDecoder{b: b, pos: 1, version: b[0]}, nil
 }
 
 func (d *binDecoder) done() error {
@@ -303,8 +551,14 @@ func (d *binDecoder) atom() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.intern == nil {
-		return string(b), nil
+	return d.internBytes(b), nil
+}
+
+// internBytes returns b as a string, shared with an equal string of the
+// batch when the intern table holds one.
+func (d *binDecoder) internBytes(b []byte) string {
+	if d.intern == nil || len(b) == 0 {
+		return string(b)
 	}
 	h := uint32(2166136261) // FNV-1a
 	for _, c := range b {
@@ -314,7 +568,7 @@ func (d *binDecoder) atom() (string, error) {
 	if *slot != string(b) { // compares without converting
 		*slot = string(b)
 	}
-	return *slot, nil
+	return *slot
 }
 
 func (d *binDecoder) bytes() ([]byte, error) {
@@ -354,7 +608,219 @@ func (d *binDecoder) vv() (VersionVector, error) {
 	return vv, nil
 }
 
+// actorTable reads a version-2 record's actor table.
+func (d *binDecoder) actorTable() error {
+	n, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	actors := make([]ActorID, 0, d.capFor(n))
+	for i := uint64(0); i < n; i++ {
+		a, err := d.atom()
+		if err != nil {
+			return err
+		}
+		actors = append(actors, ActorID(a))
+	}
+	d.actors = actors
+	return nil
+}
+
+// actor reads a version-2 actor-table index.
+func (d *binDecoder) actor() (ActorID, error) {
+	i, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if i >= uint64(len(d.actors)) {
+		return "", fmt.Errorf("%w: actor index %d beyond table of %d", ErrBinaryFormat, i, len(d.actors))
+	}
+	return d.actors[i], nil
+}
+
+// ref reads a version-2 ref: a literal, or a counter@actor rebuilt and
+// interned.
+func (d *binDecoder) ref() (string, error) {
+	h, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if h&1 == 0 {
+		b, err := d.take(h >> 1)
+		if err != nil {
+			return "", err
+		}
+		return d.internBytes(b), nil
+	}
+	if h>>1 >= uint64(len(d.actors)) {
+		return "", fmt.Errorf("%w: actor index %d beyond table of %d", ErrBinaryFormat, h>>1, len(d.actors))
+	}
+	a := d.actors[h>>1]
+	c, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	var arr [64]byte
+	b := append(append(strconv.AppendUint(arr[:0], c, 10), '@'), a...)
+	return d.internBytes(b), nil
+}
+
 func (d *binDecoder) change() (Change, error) {
+	if d.version == binaryFormatV1 {
+		return d.changeV1()
+	}
+	var ch Change
+	var err error
+	if ch.Actor, err = d.actor(); err != nil {
+		return ch, err
+	}
+	if ch.Seq, err = d.uvarint(); err != nil {
+		return ch, err
+	}
+	ndeps, err := d.uvarint()
+	if err != nil {
+		return ch, err
+	}
+	if ndeps > 0 {
+		ch.Deps = make(VersionVector, d.capFor(ndeps))
+	}
+	for i := uint64(0); i < ndeps; i++ {
+		a, err := d.actor()
+		if err != nil {
+			return ch, err
+		}
+		s, err := d.uvarint()
+		if err != nil {
+			return ch, err
+		}
+		ch.Deps[a] = s
+	}
+	if ch.Msg, err = d.string(); err != nil {
+		return ch, err
+	}
+	nops, err := d.uvarint()
+	if err != nil {
+		return ch, err
+	}
+	ch.Ops = make([]Op, 0, d.capFor(nops))
+	for i := uint64(0); i < nops; i++ {
+		op, err := d.op(ch.Actor)
+		if err != nil {
+			return ch, err
+		}
+		ch.Ops = append(ch.Ops, op)
+	}
+	return ch, nil
+}
+
+func (d *binDecoder) op(actor ActorID) (Op, error) {
+	var op Op
+	head, err := d.byte()
+	if err != nil {
+		return op, err
+	}
+	op.Type = OpType(head & opTypeEscape)
+	if op.Type == opTypeEscape {
+		t, err := d.uvarint()
+		if err != nil {
+			return op, err
+		}
+		op.Type = OpType(t)
+	}
+	op.TS.Counter = d.prev + 1
+	if head&opNextCounter == 0 {
+		if op.TS.Counter, err = d.uvarint(); err != nil {
+			return op, err
+		}
+	}
+	d.prev = op.TS.Counter
+	op.TS.Actor = actor
+	if head&opSameActor == 0 {
+		if op.TS.Actor, err = d.actor(); err != nil {
+			return op, err
+		}
+	}
+	obj, err := d.ref()
+	if err != nil {
+		return op, err
+	}
+	op.Obj = ObjID(obj)
+	if op.Key, err = d.atom(); err != nil {
+		return op, err
+	}
+	if op.Elem, err = d.ref(); err != nil {
+		return op, err
+	}
+	if op.Val, err = d.value(); err != nil {
+		return op, err
+	}
+	if head&opHasKind != 0 {
+		k, err := d.uvarint()
+		if err != nil {
+			return op, err
+		}
+		op.Kind = ObjKind(k)
+	}
+	if head&opHasDelta != 0 {
+		if op.Delta, err = d.varint(); err != nil {
+			return op, err
+		}
+	}
+	return op, nil
+}
+
+func (d *binDecoder) value() (Value, error) {
+	var v Value
+	k, err := d.byte()
+	if err != nil {
+		return v, err
+	}
+	if k == tagIntNum && d.version != binaryFormatV1 {
+		n, err := d.varint()
+		if err != nil {
+			return v, err
+		}
+		if n > maxExactInt || n < -maxExactInt {
+			return v, fmt.Errorf("%w: integer %d beyond 2^53", ErrBinaryFormat, n)
+		}
+		return Num(float64(n)), nil
+	}
+	v.Kind = ValKind(k)
+	switch v.Kind {
+	case ValStr:
+		v.Str, err = d.string()
+	case ValNum:
+		b, terr := d.take(8)
+		if terr != nil {
+			return v, terr
+		}
+		v.Num = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	case ValBool:
+		var c byte
+		if c, err = d.byte(); err == nil {
+			v.Bool = c != 0
+		}
+	case ValBytes:
+		v.Bytes, err = d.bytes()
+	case ValObj:
+		var s string
+		if d.version == binaryFormatV1 {
+			s, err = d.atom()
+		} else {
+			s, err = d.ref()
+		}
+		v.Obj = ObjID(s)
+	case ValNull, ValKind(0):
+		// no payload
+	default:
+		return v, fmt.Errorf("%w: unknown value kind %d", ErrBinaryFormat, k)
+	}
+	return v, err
+}
+
+// ---- version 1 ----
+
+func (d *binDecoder) changeV1() (Change, error) {
 	var ch Change
 	actor, err := d.atom()
 	if err != nil {
@@ -376,7 +842,7 @@ func (d *binDecoder) change() (Change, error) {
 	}
 	ch.Ops = make([]Op, 0, d.capFor(nops))
 	for i := uint64(0); i < nops; i++ {
-		op, err := d.op()
+		op, err := d.opV1()
 		if err != nil {
 			return ch, err
 		}
@@ -385,7 +851,7 @@ func (d *binDecoder) change() (Change, error) {
 	return ch, nil
 }
 
-func (d *binDecoder) op() (Op, error) {
+func (d *binDecoder) opV1() (Op, error) {
 	var op Op
 	t, err := d.byte()
 	if err != nil {
@@ -423,40 +889,4 @@ func (d *binDecoder) op() (Op, error) {
 		return op, err
 	}
 	return op, nil
-}
-
-func (d *binDecoder) value() (Value, error) {
-	var v Value
-	k, err := d.byte()
-	if err != nil {
-		return v, err
-	}
-	v.Kind = ValKind(k)
-	switch v.Kind {
-	case ValStr:
-		v.Str, err = d.string()
-	case ValNum:
-		b, terr := d.take(8)
-		if terr != nil {
-			return v, terr
-		}
-		v.Num = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	case ValBool:
-		var c byte
-		if c, err = d.byte(); err == nil {
-			v.Bool = c != 0
-		}
-	case ValBytes:
-		v.Bytes, err = d.bytes()
-	case ValObj:
-		var s string
-		if s, err = d.atom(); err == nil {
-			v.Obj = ObjID(s)
-		}
-	case ValNull, ValKind(0):
-		// no payload
-	default:
-		return v, fmt.Errorf("%w: unknown value kind %d", ErrBinaryFormat, k)
-	}
-	return v, err
 }

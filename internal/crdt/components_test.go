@@ -15,10 +15,18 @@ func goldenComponents() map[string][]Change {
 	return map[string][]Change{"tables": chs[1:], "json": chs[:1], "files": nil}
 }
 
-// goldenComponentsHex pins the record layout. These are the bytes the
-// WAL wrote for goldenComponents before the codec moved here from
-// internal/durable: existing data directories must keep recovering.
-const goldenComponentsHex = "030566696c6573020100046a736f6e22010105616c6963650100016d01020105616c69" +
+// goldenComponentsHex pins the record layout with version-2 change
+// encodings inside.
+const goldenComponentsHex = "03" +
+	"0566696c6573" + "03" + "020000" + // files: no actors, no changes
+	"046a736f6e" + "1b" + "020105616c696365" + "01" + "000100016d01" + "3208726f6f74016b00020176" +
+	"067461626c6573" + "1e" + "020203626f6205616c696365" + "01" + "0002010101000197" + "0206637472000000" + "05"
+
+// goldenComponentsV1Hex is the bytes the WAL wrote for goldenComponents
+// in version 1, before the codec moved here from internal/durable.
+// Existing data directories hold such records, so they must keep
+// decoding; re-encoding them gives goldenComponentsHex.
+const goldenComponentsV1Hex = "030566696c6573020100046a736f6e22010105616c6963650100016d01020105616c69" +
 	"6365" + "04726f6f74016b000201760000067461626c657320010103626f62020105616c6963650100" +
 	"01070203626f62036374720000000005"
 
@@ -26,6 +34,29 @@ func TestComponentsGolden(t *testing.T) {
 	got := hex.EncodeToString(AppendComponents(nil, goldenComponents()))
 	if got != goldenComponentsHex {
 		t.Fatalf("component record drifted from golden.\n got: %s\nwant: %s", got, goldenComponentsHex)
+	}
+}
+
+func TestComponentsV1GoldenDecodes(t *testing.T) {
+	v1, err := hex.DecodeString(goldenComponentsV1Hex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeComponents(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenComponents()
+	for name, chs := range want {
+		if !reflect.DeepEqual(normalizeChanges(dec[name]), normalizeChanges(chs)) {
+			t.Fatalf("component %q decoded to %+v, want %+v", name, dec[name], chs)
+		}
+	}
+	if len(dec) != len(want) {
+		t.Fatalf("decoded %d components, want %d", len(dec), len(want))
+	}
+	if got := hex.EncodeToString(AppendComponents(nil, dec)); got != goldenComponentsHex {
+		t.Fatalf("version-1 record re-encodes as\n%s\nwant\n%s", got, goldenComponentsHex)
 	}
 }
 

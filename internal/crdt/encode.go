@@ -2,16 +2,17 @@ package crdt
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 )
 
 // This file is the allocation-conscious side of the binary codec: a
 // zero-copy append variant of EncodeChangesBinary, a size estimator that
 // lets callers allocate once, and a sync.Pool of reusable encode
-// buffers. The byte layout is identical to binary.go (the golden tests
-// pin both paths to the same output); only the allocation strategy
-// differs. Both carriers of the replication hot path — WAL appends and
-// TCP state frames — encode every outbound batch as a component record
+// buffers. The byte layout is binary.go's (the golden tests pin both
+// paths to the same output); only the allocation strategy differs.
+// Both carriers of the replication hot path — WAL appends and TCP state
+// frames — encode every outbound batch as a component record
 // (components.go) into a buffer borrowed from this pool, sized once by
 // the size hint, instead of allocating per batch.
 
@@ -21,10 +22,18 @@ import (
 // batches (dst may be nil). Grow dst to ChangesSizeHint ahead of time to
 // encode without any allocation.
 func EncodeChangesInto(dst []byte, chs []Change) []byte {
+	// Two passes: the actor table precedes the changes that index it.
+	var t actorTable
+	for i := range chs {
+		t.collect(&chs[i])
+	}
 	dst = append(dst, BinaryFormatVersion)
+	dst = binary.AppendUvarint(dst, uint64(t.n+len(t.more)))
+	t.each(func(_ uint64, a ActorID) { dst = appendString(dst, string(a)) })
 	dst = binary.AppendUvarint(dst, uint64(len(chs)))
-	for _, ch := range chs {
-		dst = appendChange(dst, ch)
+	var prev uint64
+	for i := range chs {
+		dst = t.appendChange(dst, &chs[i], &prev)
 	}
 	return dst
 }
@@ -32,42 +41,57 @@ func EncodeChangesInto(dst []byte, chs []Change) []byte {
 // ChangesSizeHint returns an upper-bound estimate of the encoded size of
 // chs — cheap to compute (one linear pass, no allocation) and always ≥
 // the true encoded length, so a buffer grown to the hint never regrows
-// during encoding.
+// during encoding. Every actor reference is charged an actor-table
+// entry, as if no actor repeated, and every ref the longer of its
+// literal and counter@actor forms.
 func ChangesSizeHint(chs []Change) int {
-	// Worst-case uvarint for lengths/sequences is 10 bytes; most are 1.
-	const uv = 10
-	n := 1 + uv // version byte + change count
+	refs := 0 // actor references, each written as one table index
+	entry := func(a ActorID) int {
+		refs++
+		return uvarintLen(uint64(len(a))) + len(a)
+	}
+	// A literal is uvarint(len<<1) + len. A counter@actor is its index
+	// plus at most one varint byte per counter digit plus the actor's
+	// entry, which fits the same bound.
+	ref := func(s string) int {
+		refs++
+		return 1 + uvarintLen(uint64(len(s))) + len(s)
+	}
+	str := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+	n := 1 + binary.MaxVarintLen64 + uvarintLen(uint64(len(chs)))
 	for i := range chs {
 		ch := &chs[i]
-		n += uv + len(ch.Actor) // actor string
-		n += uv                 // seq
-		n += uv                 // deps count
-		for a := range ch.Deps {
-			n += uv + len(a) + uv
+		n += entry(ch.Actor) + uvarintLen(ch.Seq) + uvarintLen(uint64(len(ch.Deps)))
+		for a, seq := range ch.Deps {
+			n += entry(a) + uvarintLen(seq)
 		}
-		n += uv + len(ch.Msg)
-		n += uv // op count
+		n += str(ch.Msg) + uvarintLen(uint64(len(ch.Ops)))
 		for j := range ch.Ops {
 			op := &ch.Ops[j]
-			// type + ts.counter + ts.actor + obj + key + elem +
-			// value kind + kind + delta
-			n += 1 + uv + (uv + len(op.TS.Actor)) + (uv + len(op.Obj)) +
-				(uv + len(op.Key)) + (uv + len(op.Elem)) + 1 + 1 + uv
+			n += 1 + uvarintLen(uint64(op.Type)) + uvarintLen(op.TS.Counter) + entry(op.TS.Actor) +
+				ref(string(op.Obj)) + str(op.Key) + ref(op.Elem) + 1 +
+				uvarintLen(uint64(op.Kind)) + uvarintLen(uint64(op.Delta<<1)^uint64(op.Delta>>63))
 			switch op.Val.Kind {
 			case ValStr:
-				n += uv + len(op.Val.Str)
+				n += str(op.Val.Str)
 			case ValNum:
-				n += 8
+				n += 8 // raw bits, or a zigzag varint of at most 2^53
 			case ValBool:
 				n++
 			case ValBytes:
-				n += uv + len(op.Val.Bytes)
+				n += uvarintLen(uint64(len(op.Val.Bytes))) + len(op.Val.Bytes)
 			case ValObj:
-				n += uv + len(op.Val.Obj)
+				n += ref(string(op.Val.Obj))
 			}
 		}
 	}
-	return n
+	// An index, shifted left once in a ref, is below 2×refs.
+	return n + refs*uvarintLen(2*uint64(refs))
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // maxPooledEncodeBytes keeps pathological buffers (one huge CRDT-Files

@@ -26,6 +26,7 @@ func TestChangesSizeHintIsUpperBound(t *testing.T) {
 		{},
 		goldenChanges(),
 		{{Actor: "solo", Seq: 1}},
+		edgeCaseChanges(),
 	}
 	for _, chs := range cases {
 		hint := ChangesSizeHint(chs)

@@ -43,16 +43,31 @@ func goldenFrames() map[string]*frame {
 var goldenFrameHex = map[string]string{
 	// version, kind, from "edge-1", heads {json: {cloud 2, edge-1 3},
 	// tables: {cloud 1}}, no delta.
+	"hello": "0301" + "06656467652d31" +
+		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401" +
+		"00",
+	// version, kind, no from, no heads, delta {json: 48-byte change
+	// batch: actors [edge-1 cloud], edge-1 seq 3 deps {cloud 2}, two
+	// ops whose heads say "the change's actor", the second also
+	// "previous counter + 1"; 4 travels as a varint}.
+	"state": "0302" + "00" + "00" +
+		"01" + "046a736f6e" + "30" + "02" + "02" + "06656467652d31" + "05636c6f7564" + "01" +
+		"00" + "03" + "010102" + "00" + "02" +
+		"12" + "09" + "08726f6f74" + "016e" + "00" + "8308" +
+		"32" + "08726f6f74" + "0166" + "00" + "0502cafe",
+	"heartbeat": "0303" + "00" + "00" + "00",
+}
+
+// wireV2Frames are the hello and state goldens of wire version 2,
+// whose state frames carried version-1 change records.
+var wireV2Frames = map[string]string{
 	"hello": "0201" + "06656467652d31" +
 		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401" +
 		"00",
-	// version, kind, no from, no heads, delta {json: 71-byte change
-	// batch}.
 	"state": "0202" + "00" + "00" +
 		"01" + "046a736f6e" + "47" + "0101" + "06656467652d31" + "03" + "0105636c6f756402" + "00" + "02" +
 		"020906656467652d3104726f6f74016e000300000000000010400000" +
 		"020a06656467652d3104726f6f740166000502cafe0000",
-	"heartbeat": "0203" + "00" + "00" + "00",
 }
 
 func TestFrameGolden(t *testing.T) {
@@ -89,7 +104,14 @@ func TestJSONEraHelloRejected(t *testing.T) {
 	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), "wire version") {
 		t.Fatalf("readFrame(future version) err = %v, want a wire-version error", err)
 	}
+	expectBadHello(t, jsonHello, "JSON")
+}
 
+// expectBadHello sends payload as a peer's hello to a live master and
+// requires the master to refuse it with a bad-hello error containing
+// want, counting no connect.
+func expectBadHello(t *testing.T, payload []byte, want string) {
+	t.Helper()
 	srv, err := ServeMasterConfig("127.0.0.1:0", &Endpoint{Name: "cloud", State: newState(t, "cloud")}, fastTCPConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -107,20 +129,35 @@ func TestJSONEraHelloRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if _, err := conn.Write(lengthPrefixed(jsonHello)); err != nil {
+	if _, err := conn.Write(lengthPrefixed(payload)); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-errCh:
-		if !strings.Contains(err.Error(), "bad hello") || !strings.Contains(err.Error(), "JSON") {
-			t.Fatalf("master error %q is not a bad hello naming JSON", err)
+		if !strings.Contains(err.Error(), "bad hello") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("master error %q is not a bad hello naming %q", err, want)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("master never reported the JSON hello")
+		t.Fatal("master never reported the bad hello")
 	}
 	if got := srv.Stats().Connects; got != 0 {
-		t.Fatalf("master counted %d connects from a JSON peer, want 0", got)
+		t.Fatalf("master counted %d connects from a refused peer, want 0", got)
 	}
+}
+
+// TestWireV2HelloRejected: a peer on wire version 2 writes version-1
+// change records; it must be refused at the hello with an error naming
+// the wire version, not reconnect forever on undecodable state frames.
+func TestWireV2HelloRejected(t *testing.T) {
+	hello, err := hex.DecodeString(wireV2Frames["hello"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = readFrame(bytes.NewReader(lengthPrefixed(hello)))
+	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), "peer speaks wire version 2") {
+		t.Fatalf("readFrame(v2 hello) err = %v, want a wire-version error", err)
+	}
+	expectBadHello(t, hello, "peer speaks wire version 2")
 }
 
 // genFrame builds a random frame in the shape decodeFrame returns: empty
@@ -201,6 +238,11 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{wireVersion})
 	// A version-1 ack frame (kind 4, acked 16), refused by version.
 	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0x20})
+	// Wire-version-2 frames, refused by version.
+	for _, h := range wireV2Frames {
+		b, _ := hex.DecodeString(h)
+		f.Add(b)
+	}
 	f.Add([]byte{wireVersion, byte(frameState), 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if fr, err := decodeFrame(data); err == nil {

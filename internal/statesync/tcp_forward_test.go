@@ -183,3 +183,41 @@ func TestTCPAckWakesStalledPusher(t *testing.T) {
 			ss.WokenPushes, ss.WindowStalls, ss.FramesSent, commits)
 	}
 }
+
+// TestTCPMasterCreditsBeforeEdgeHolds pins the order of the master's
+// sent-side stats: a push is credited before its frames are written, so
+// once an edge holds a cloud commit, the master's FramesSent and
+// BytesSent already include the frames that carried it — never trailing
+// what the edges have received.
+func TestTCPMasterCreditsBeforeEdgeHolds(t *testing.T) {
+	const commits = 200
+	h := startHub(t)
+	for i := 0; i < commits; i++ {
+		key := fmt.Sprint("cloud-", i)
+		before := h.srv.Stats()
+		h.srv.Do(func() { putKey(t, h.master, key, i) })
+		for e := range h.edges {
+			deadline := time.Now().Add(2 * time.Second)
+			for held := false; !held; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("commit %d did not reach edge%d within 2s", i, e+1)
+				}
+				h.edges[e].Do(func() { held = hasKey(h.states[e], key) })
+			}
+		}
+		var recv TCPStats
+		for _, e := range h.edges {
+			st := e.Stats()
+			recv.FramesRecv += st.FramesRecv
+			recv.BytesReceived += st.BytesReceived
+		}
+		sent := h.srv.Stats()
+		if sent.FramesSent < recv.FramesRecv || sent.BytesSent < recv.BytesReceived {
+			t.Fatalf("commit %d: the master credits %d frames, %d B; the edges already received %d frames, %d B",
+				i, sent.FramesSent, sent.BytesSent, recv.FramesRecv, recv.BytesReceived)
+		}
+		if states := (sent.FramesSent - sent.HeartbeatsSent) - (before.FramesSent - before.HeartbeatsSent); states < int64(len(h.edges)) {
+			t.Fatalf("commit %d reached both edges, but the master credits %d state frames for it, want ≥ %d", i, states, len(h.edges))
+		}
+	}
+}

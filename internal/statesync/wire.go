@@ -29,13 +29,21 @@ import (
 //	string  := uvarint(len) bytes
 //
 // The delta is the very record the WAL appends, so a change is encoded
-// the same way on disk and on the wire. There is one wire version and no
-// negotiation: a peer whose first byte differs (a JSON-framed peer's
-// payload starts with '{') fails the hello instead of being misparsed.
+// the same way on disk and on the wire. Its change encodings are crdt's
+// change format version 2: each record names its actors once, in a
+// table, and refers to them by index, also inside "counter@actor"
+// object and element IDs; integral numbers travel as varints. There is
+// one wire version and no negotiation: a peer whose first byte differs
+// (a JSON-framed peer's payload starts with '{') fails the hello instead
+// of being misparsed.
 
-// wireVersion is the payload's first byte. Bump it on any layout change;
-// peers on different versions refuse each other's hello.
-const wireVersion byte = 2
+// wireVersion is the payload's first byte. Bump it on any layout change,
+// including one inside the delta's change encodings; peers on different
+// versions refuse each other's hello. Version 3 differs from 2 only in
+// carrying change format version 2: a version-2 peer could not decode
+// it and would reconnect on every state frame, so it is refused at the
+// hello instead.
+const wireVersion byte = 3
 
 // frameKind tags wire frames; it is the payload's second byte.
 type frameKind uint8
