@@ -23,14 +23,14 @@ import (
 // Layout (version 2, written), all integers unsigned varints unless
 // noted:
 //
-//	changes   := version(1B=2) count string(actor)* count change*
+//	changes   := version(1B=2) count dstring(actor)* count change*
 //	             — the actor table: each distinct actor of the record
 //	               once, in first-appearance order; below, actor means
 //	               an index into it
 //	change    := actor uvarint(seq) deps string(msg) count op*
 //	deps      := count (actor uvarint(seq))*   — in actor-table order
 //	op        := byte(head) [uvarint(type)] [uvarint(ts.counter)]
-//	             [actor(ts)] ref(obj) string(key) ref(elem) value
+//	             [actor(ts)] ref(obj) dstring(key) ref(elem) value
 //	             [uvarint(kind)] [varint(delta — zigzag)]
 //	head      := low 4 bits: the op type, or 15 when uvarint(type)
 //	             follows; 0x10: ts actor is the change's actor (no
@@ -38,7 +38,8 @@ import (
 //	             counter + 1, the previous op of the record, 0 before
 //	             the first (no counter); 0x40: kind follows (else 0);
 //	             0x80: delta follows (else 0)
-//	ref       := uvarint(len<<1) len bytes     — a literal string
+//	ref       := uvarint(h<<1) [bytes]  — a literal: h and the bytes
+//	             are a dstring's header and body
 //	           | uvarint(actor<<1 | 1) uvarint(counter)
 //	             — FormatUint(counter) + "@" + the actor, written so
 //	               only when the string is exactly that with a
@@ -50,6 +51,8 @@ import (
 //	             — a number that is an integer of magnitude ≤ 2^53 and
 //	               not −0; NaN, ±Inf, −0 and fractions keep 8B
 //	string    := uvarint(len) len bytes
+//	dstring   := string, or, through a stream dictionary, dict.go's
+//	             reference-or-literal (the WAL uses none)
 //	vector    := version(1B) vv
 //	vv        := count (string(actor) uvarint(seq))*   — actors sorted
 //
@@ -100,6 +103,22 @@ const maxExactInt = 1 << 53
 // ErrBinaryFormat is wrapped by every binary decoding failure.
 var ErrBinaryFormat = fmt.Errorf("crdt: malformed binary encoding")
 
+// UnsupportedVersionError reports an encoding whose format-version byte
+// this build does not decode, such as a record a newer build wrote. It
+// wraps ErrBinaryFormat, but unlike other decoding failures it says
+// nothing about the bytes being damaged: a reader should refuse them,
+// not discard them.
+type UnsupportedVersionError struct {
+	Version byte
+}
+
+func (e *UnsupportedVersionError) Error() string {
+	return fmt.Sprintf("%v: unsupported format version %d (want %d or %d)",
+		ErrBinaryFormat, e.Version, binaryFormatV1, BinaryFormatVersion)
+}
+
+func (e *UnsupportedVersionError) Unwrap() error { return ErrBinaryFormat }
+
 // EncodeChangesBinary serializes changes in the stable binary format.
 // The size-hinted allocation means the result is built in one allocation;
 // EncodeChangesInto (encode.go) is the zero-copy variant for callers
@@ -109,19 +128,21 @@ func EncodeChangesBinary(chs []Change) []byte {
 }
 
 // DecodeChangesBinary reverses EncodeChangesBinary, rejecting unknown
-// format versions and truncated or oversized input.
+// format versions (with an *UnsupportedVersionError) and truncated or
+// oversized input.
 func DecodeChangesBinary(b []byte) ([]Change, error) {
-	return decodeChanges(b, new(atomTable))
+	return decodeChanges(b, new(atomTable), nil)
 }
 
 // decodeChanges is DecodeChangesBinary over a caller's intern table, so
-// the components of one record share it.
-func decodeChanges(b []byte, intern *atomTable) ([]Change, error) {
+// the components of one record share it, and through the stream
+// dictionary the record was encoded with (nil for none).
+func decodeChanges(b []byte, intern *atomTable, dict *StringDict) ([]Change, error) {
 	d, err := newBinDecoder(b)
 	if err != nil {
 		return nil, err
 	}
-	d.intern = intern
+	d.intern, d.dict = intern, dict
 	if d.version != binaryFormatV1 {
 		if err := d.actorTable(); err != nil {
 			return nil, err
@@ -247,6 +268,9 @@ type actorTable struct {
 	n      int
 	more   []ActorID
 	index  map[ActorID]uint64
+	// dict, when set, is the stream dictionary the record's strings
+	// go through (dict.go).
+	dict *StringDict
 }
 
 const maxScanActors = 16
@@ -389,7 +413,7 @@ func (t *actorTable) appendOp(dst []byte, op *Op, actor ActorID, prev *uint64) [
 		dst = binary.AppendUvarint(dst, t.lookup(op.TS.Actor))
 	}
 	dst = t.appendRef(dst, string(op.Obj))
-	dst = appendString(dst, op.Key)
+	dst = t.dict.appendString(dst, op.Key)
 	dst = t.appendRef(dst, op.Elem)
 	dst = t.appendValue(dst, op.Val)
 	if op.Kind != 0 {
@@ -406,8 +430,12 @@ func (t *actorTable) appendRef(dst []byte, s string) []byte {
 		dst = binary.AppendUvarint(dst, t.lookup(a)<<1|1)
 		return binary.AppendUvarint(dst, c)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s))<<1)
-	return append(dst, s...)
+	h, literal := t.dict.header(s)
+	dst = binary.AppendUvarint(dst, h<<1)
+	if literal {
+		dst = append(dst, s...)
+	}
+	return dst
 }
 
 func (t *actorTable) appendValue(dst []byte, v Value) []byte {
@@ -450,6 +478,10 @@ type binDecoder struct {
 	// intern, when set, is the decode call's table of actor, object and
 	// key strings (see atom).
 	intern *atomTable
+	// dict, when set, is the stream dictionary a version-2 record's
+	// actor-table entries, keys and literal refs were written through
+	// (dict.go).
+	dict *StringDict
 	// actors is a version-2 record's actor table; prev is the previous
 	// op's counter.
 	actors []ActorID
@@ -472,8 +504,7 @@ func newBinDecoder(b []byte) (binDecoder, error) {
 		return binDecoder{}, fmt.Errorf("%w: empty input", ErrBinaryFormat)
 	}
 	if b[0] != BinaryFormatVersion && b[0] != binaryFormatV1 {
-		return binDecoder{}, fmt.Errorf("%w: unsupported format version %d (want %d or %d)",
-			ErrBinaryFormat, b[0], binaryFormatV1, BinaryFormatVersion)
+		return binDecoder{}, &UnsupportedVersionError{Version: b[0]}
 	}
 	return binDecoder{b: b, pos: 1, version: b[0]}, nil
 }
@@ -554,6 +585,43 @@ func (d *binDecoder) atom() (string, error) {
 	return d.internBytes(b), nil
 }
 
+// dstring reads a version-2 actor-table entry or map key: a string
+// written through the decoder's dictionary, or a plain string without
+// one.
+func (d *binDecoder) dstring() (string, error) {
+	h, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	return d.dictString(h)
+}
+
+// dictString resolves the header of a string written through the
+// dictionary — a reference, or a literal the dictionary learns — or,
+// without a dictionary, reads h bytes.
+func (d *binDecoder) dictString(h uint64) (string, error) {
+	if d.dict == nil {
+		b, err := d.take(h)
+		if err != nil {
+			return "", err
+		}
+		return d.internBytes(b), nil
+	}
+	if h&1 == 1 {
+		if h>>1 >= uint64(len(d.dict.strs)) {
+			return "", fmt.Errorf("%w: dictionary index %d beyond table of %d", ErrBinaryFormat, h>>1, len(d.dict.strs))
+		}
+		return d.dict.strs[h>>1], nil
+	}
+	b, err := d.take(h >> 1)
+	if err != nil {
+		return "", err
+	}
+	s := d.internBytes(b)
+	d.dict.learn(s)
+	return s, nil
+}
+
 // internBytes returns b as a string, shared with an equal string of the
 // batch when the intern table holds one.
 func (d *binDecoder) internBytes(b []byte) string {
@@ -616,7 +684,7 @@ func (d *binDecoder) actorTable() error {
 	}
 	actors := make([]ActorID, 0, d.capFor(n))
 	for i := uint64(0); i < n; i++ {
-		a, err := d.atom()
+		a, err := d.dstring()
 		if err != nil {
 			return err
 		}
@@ -646,11 +714,7 @@ func (d *binDecoder) ref() (string, error) {
 		return "", err
 	}
 	if h&1 == 0 {
-		b, err := d.take(h >> 1)
-		if err != nil {
-			return "", err
-		}
-		return d.internBytes(b), nil
+		return d.dictString(h >> 1)
 	}
 	if h>>1 >= uint64(len(d.actors)) {
 		return "", fmt.Errorf("%w: actor index %d beyond table of %d", ErrBinaryFormat, h>>1, len(d.actors))
@@ -745,7 +809,7 @@ func (d *binDecoder) op(actor ActorID) (Op, error) {
 		return op, err
 	}
 	op.Obj = ObjID(obj)
-	if op.Key, err = d.atom(); err != nil {
+	if op.Key, err = d.dstring(); err != nil {
 		return op, err
 	}
 	if op.Elem, err = d.ref(); err != nil {

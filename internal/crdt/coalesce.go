@@ -39,6 +39,11 @@ type elemTarget struct {
 // unchanged (no copy); otherwise affected changes are rebuilt with fresh
 // op slices, so shared change history is never mutated.
 func CoalesceChanges(chs []Change) ([]Change, int) {
+	// One op eclipses nothing: the batch of a single one-op change — a
+	// one-cell update pushed as soon as it commits — skips the maps.
+	if len(chs) == 0 || len(chs) == 1 && len(chs[0].Ops) < 2 {
+		return chs, 0
+	}
 	// Backward scan recording, per target, the winning (greatest) kept
 	// timestamp so far; an earlier op that loses to it can never shape
 	// final state.

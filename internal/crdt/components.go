@@ -14,25 +14,33 @@ import (
 // share one pinned layout:
 //
 //	record := uvarint(ncomponents)
-//	          (string(name) uvarint(len(enc)) enc)*
+//	          (dstring(name) uvarint(len(enc)) enc)*
 //	enc    := EncodeChangesInto(nil, changes) — carries the format
 //	          version byte, pinning the layout
 //
 // Components appear in name order, so equal batches encode identically.
+//
+// A stream of records — the TCP transport's state frames — may thread a
+// StringDict (dict.go) through the encoder and, in the same order,
+// through the decoder: component names and the changes' actors, keys
+// and literal object IDs then travel as dictionary references after
+// their first appearance. The WAL passes none, so every record on disk
+// decodes on its own and its bytes are those of binary.go.
 
 // AppendComponents appends the record encoding of components to dst and
-// returns the extended slice. Grow dst to ComponentsSizeHint first and,
-// for up to eight components, it encodes without allocating.
-func AppendComponents(dst []byte, components map[string][]Change) []byte {
+// returns the extended slice; dict is the stream's dictionary, or nil.
+// Grow dst to ComponentsSizeHint first and, for up to eight components
+// and no new dictionary entries, it encodes without allocating.
+func AppendComponents(dst []byte, components map[string][]Change, dict *StringDict) []byte {
 	var arr [8]string
 	names := sortedNames(components, arr[:0])
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, name := range names {
-		dst = appendString(dst, name)
+		dst = dict.appendString(dst, name)
 		// Encode past room for the longest length prefix, then slide the
 		// encoding down to sit right after its actual prefix.
 		at := len(dst)
-		dst = EncodeChangesInto(append(dst, make([]byte, binary.MaxVarintLen64)...), components[name])
+		dst = encodeChanges(append(dst, make([]byte, binary.MaxVarintLen64)...), components[name], dict)
 		enc := dst[at+binary.MaxVarintLen64:]
 		n := len(binary.AppendUvarint(dst[:at], uint64(len(enc))))
 		dst = dst[:n+copy(dst[n:], enc)]
@@ -49,10 +57,12 @@ func ComponentsSizeHint(components map[string][]Change) int {
 	return n
 }
 
-// DecodeComponents reverses AppendComponents; b must hold exactly one
-// record. The result is never nil.
+// DecodeComponents reverses AppendComponents without a dictionary; b
+// must hold exactly one record. The result is never nil. A change
+// encoding of a format version this build does not know fails with an
+// *UnsupportedVersionError.
 func DecodeComponents(b []byte) (map[string][]Change, error) {
-	out, n, err := ReadComponents(b)
+	out, n, err := ReadComponents(b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -65,12 +75,13 @@ func DecodeComponents(b []byte) (map[string][]Change, error) {
 	return out, nil
 }
 
-// ReadComponents decodes the record at the start of b and returns it
+// ReadComponents decodes the record at the start of b through the
+// stream dictionary it was encoded with (nil for none) and returns it
 // with the number of bytes it occupied, so a record can sit inside a
 // larger message. Changes are decoded straight out of b, with no copy
 // ahead of decoding. A record of no components decodes as nil.
-func ReadComponents(b []byte) (map[string][]Change, int, error) {
-	d := &binDecoder{b: b}
+func ReadComponents(b []byte, dict *StringDict) (map[string][]Change, int, error) {
+	d := &binDecoder{b: b, dict: dict}
 	ncomp, err := d.uvarint()
 	if err != nil || ncomp == 0 {
 		return nil, d.pos, err
@@ -80,7 +91,7 @@ func ReadComponents(b []byte) (map[string][]Change, int, error) {
 	// every component it wrote.
 	intern := new(atomTable)
 	for i := uint64(0); i < ncomp; i++ {
-		name, err := d.string()
+		name, err := d.dstring()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -92,7 +103,7 @@ func ReadComponents(b []byte) (map[string][]Change, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("component %q: %w", name, err)
 		}
-		chs, err := decodeChanges(enc, intern)
+		chs, err := decodeChanges(enc, intern, dict)
 		if err != nil {
 			return nil, 0, fmt.Errorf("component %q: %w", name, err)
 		}

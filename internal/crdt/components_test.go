@@ -3,6 +3,7 @@ package crdt
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -31,7 +32,7 @@ const goldenComponentsV1Hex = "030566696c6573020100046a736f6e22010105616c6963650
 	"01070203626f62036374720000000005"
 
 func TestComponentsGolden(t *testing.T) {
-	got := hex.EncodeToString(AppendComponents(nil, goldenComponents()))
+	got := hex.EncodeToString(AppendComponents(nil, goldenComponents(), nil))
 	if got != goldenComponentsHex {
 		t.Fatalf("component record drifted from golden.\n got: %s\nwant: %s", got, goldenComponentsHex)
 	}
@@ -55,14 +56,14 @@ func TestComponentsV1GoldenDecodes(t *testing.T) {
 	if len(dec) != len(want) {
 		t.Fatalf("decoded %d components, want %d", len(dec), len(want))
 	}
-	if got := hex.EncodeToString(AppendComponents(nil, dec)); got != goldenComponentsHex {
+	if got := hex.EncodeToString(AppendComponents(nil, dec, nil)); got != goldenComponentsHex {
 		t.Fatalf("version-1 record re-encodes as\n%s\nwant\n%s", got, goldenComponentsHex)
 	}
 }
 
 func TestComponentsRoundTripAndPrefix(t *testing.T) {
 	in := map[string][]Change{"json": goldenChanges(), "tables": goldenChanges()[1:]}
-	enc := AppendComponents(nil, in)
+	enc := AppendComponents(nil, in, nil)
 	if hint := ComponentsSizeHint(in); len(enc) > hint {
 		t.Fatalf("encoded %d bytes, hint %d is not an upper bound", len(enc), hint)
 	}
@@ -70,13 +71,13 @@ func TestComponentsRoundTripAndPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(AppendComponents(nil, out), enc) {
+	if !reflect.DeepEqual(AppendComponents(nil, out, nil), enc) {
 		t.Fatal("decode then re-encode changed the bytes")
 	}
 	// ReadComponents stops at the record's end; DecodeComponents
 	// rejects the same input with a trailing byte.
 	withTail := append(append([]byte(nil), enc...), 0xff)
-	if _, n, err := ReadComponents(withTail); err != nil || n != len(enc) {
+	if _, n, err := ReadComponents(withTail, nil); err != nil || n != len(enc) {
 		t.Fatalf("ReadComponents = (%d, %v), want (%d, nil)", n, err, len(enc))
 	}
 	if _, err := DecodeComponents(withTail); !errors.Is(err, ErrBinaryFormat) {
@@ -110,5 +111,118 @@ func TestDecodeHugeCountsDoNotPanic(t *testing.T) {
 		if !errors.Is(err, ErrBinaryFormat) {
 			t.Fatalf("%s: err = %v, want ErrBinaryFormat", name, err)
 		}
+	}
+}
+
+// TestComponentsThroughDictionary streams records through one encoder
+// and one decoder dictionary: every record decodes to its input, a
+// record whose strings the stream has carried before is smaller than
+// its self-contained encoding, and both tables end equal.
+func TestComponentsThroughDictionary(t *testing.T) {
+	records := []map[string][]Change{
+		{"json": goldenChanges()},
+		{"json": goldenChanges()[1:], "tables": goldenChanges()[:1]},
+		{"json": goldenChanges()},
+	}
+	var enc, dec StringDict
+	for i, in := range records {
+		b := AppendComponents(nil, in, &enc)
+		if hint := ComponentsSizeHint(in); len(b) > hint {
+			t.Fatalf("record %d: %d bytes exceed the size hint %d", i, len(b), hint)
+		}
+		out, n, err := ReadComponents(b, &dec)
+		if err != nil || n != len(b) {
+			t.Fatalf("record %d: ReadComponents = (%d, %v), want (%d, nil)", i, n, err, len(b))
+		}
+		for name, chs := range in {
+			if !reflect.DeepEqual(normalizeChanges(out[name]), normalizeChanges(chs)) {
+				t.Fatalf("record %d, component %q: decoded %+v, want %+v", i, name, out[name], chs)
+			}
+		}
+		if plain := len(AppendComponents(nil, in, nil)); i > 0 && len(b) >= plain {
+			t.Fatalf("record %d: %d bytes through the dictionary, %d without", i, len(b), plain)
+		}
+	}
+	if !reflect.DeepEqual(enc.strs, dec.strs) {
+		t.Fatalf("tables diverged:\nencoder %q\ndecoder %q", enc.strs, dec.strs)
+	}
+}
+
+// TestDictionaryBound: past dictMaxEntries strings, or for a string
+// longer than dictMaxString, nothing is inserted and the string stays
+// literal, on both ends alike.
+func TestDictionaryBound(t *testing.T) {
+	long := string(make([]byte, dictMaxString+1))
+	ch := Change{Actor: "a", Seq: 1}
+	for i := 0; i < dictMaxEntries+50; i++ {
+		ch.Ops = append(ch.Ops, Op{Type: OpSet, TS: TS{Counter: uint64(i + 1), Actor: "a"},
+			Obj: RootObj, Key: fmt.Sprint("k", i), Val: Num(float64(i))})
+	}
+	ch.Ops = append(ch.Ops, Op{Type: OpSet, TS: TS{Counter: 1 << 20, Actor: "a"}, Obj: RootObj, Key: long})
+	in := map[string][]Change{"json": {ch}}
+	var enc, dec StringDict
+	for round := 0; round < 2; round++ {
+		b := AppendComponents(nil, in, &enc)
+		out, err := decodeWith(b, &dec)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !reflect.DeepEqual(normalizeChanges(out["json"]), normalizeChanges(in["json"])) {
+			t.Fatalf("round %d: the record did not survive the full dictionary", round)
+		}
+		if enc.Len() != dictMaxEntries || dec.Len() != dictMaxEntries {
+			t.Fatalf("round %d: tables hold %d and %d strings, want the bound %d", round, enc.Len(), dec.Len(), dictMaxEntries)
+		}
+	}
+	if _, ok := enc.index[long]; ok {
+		t.Fatal("a string longer than dictMaxString entered the dictionary")
+	}
+}
+
+// decodeWith decodes exactly one record through dict.
+func decodeWith(b []byte, dict *StringDict) (map[string][]Change, error) {
+	out, n, err := ReadComponents(b, dict)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("%d trailing bytes", len(b)-n)
+	}
+	return out, err
+}
+
+// TestDictionaryUnknownIndex: a reference past the decoder's table is
+// a format error, whether the table is empty or holds fewer strings
+// than the reference needs.
+func TestDictionaryUnknownIndex(t *testing.T) {
+	in := map[string][]Change{"json": goldenChanges()}
+	var enc StringDict
+	AppendComponents(nil, in, &enc)
+	second := AppendComponents(nil, in, &enc) // all references
+	var fresh StringDict
+	if _, err := decodeWith(second, &fresh); !errors.Is(err, ErrBinaryFormat) {
+		t.Fatalf("references into an empty table: err = %v, want ErrBinaryFormat", err)
+	}
+	short := StringDict{strs: []string{"json"}}
+	if _, err := decodeWith(second, &short); !errors.Is(err, ErrBinaryFormat) {
+		t.Fatalf("references past a one-entry table: err = %v, want ErrBinaryFormat", err)
+	}
+}
+
+// TestUnsupportedVersionIsTyped: a change encoding of a version this
+// build does not know fails with an *UnsupportedVersionError that
+// still wraps ErrBinaryFormat, so callers can tell "newer data" from
+// damage.
+func TestUnsupportedVersionIsTyped(t *testing.T) {
+	rec := AppendComponents(nil, map[string][]Change{"json": goldenChanges()}, nil)
+	at := 1 + 1 + len("json") + 2 // ncomponents, name, two-byte enc length
+	if rec[at] != BinaryFormatVersion {
+		t.Fatalf("byte %d is %#x, want the format version", at, rec[at])
+	}
+	rec[at] = BinaryFormatVersion + 1
+	_, err := DecodeComponents(rec)
+	var uv *UnsupportedVersionError
+	if !errors.As(err, &uv) || uv.Version != BinaryFormatVersion+1 || !errors.Is(err, ErrBinaryFormat) {
+		t.Fatalf("err = %v, want an *UnsupportedVersionError for version %d wrapping ErrBinaryFormat", err, BinaryFormatVersion+1)
+	}
+	if _, err := DecodeChangesBinary([]byte{0}); !errors.As(err, &uv) || uv.Version != 0 {
+		t.Fatalf("version 0: err = %v, want an *UnsupportedVersionError", err)
 	}
 }

@@ -22,14 +22,21 @@ import (
 // batches (dst may be nil). Grow dst to ChangesSizeHint ahead of time to
 // encode without any allocation.
 func EncodeChangesInto(dst []byte, chs []Change) []byte {
+	return encodeChanges(dst, chs, nil)
+}
+
+// encodeChanges is EncodeChangesInto through a stream's dictionary
+// (dict.go): actor-table entries, map keys and literal refs are
+// written as dstrings. A nil dict writes the self-contained layout.
+func encodeChanges(dst []byte, chs []Change, dict *StringDict) []byte {
 	// Two passes: the actor table precedes the changes that index it.
-	var t actorTable
+	t := actorTable{dict: dict}
 	for i := range chs {
 		t.collect(&chs[i])
 	}
 	dst = append(dst, BinaryFormatVersion)
 	dst = binary.AppendUvarint(dst, uint64(t.n+len(t.more)))
-	t.each(func(_ uint64, a ActorID) { dst = appendString(dst, string(a)) })
+	t.each(func(_ uint64, a ActorID) { dst = dict.appendString(dst, string(a)) })
 	dst = binary.AppendUvarint(dst, uint64(len(chs)))
 	var prev uint64
 	for i := range chs {
@@ -48,16 +55,19 @@ func ChangesSizeHint(chs []Change) int {
 	refs := 0 // actor references, each written as one table index
 	entry := func(a ActorID) int {
 		refs++
-		return uvarintLen(uint64(len(a))) + len(a)
+		return uvarintLen(uint64(len(a))<<1) + len(a)
 	}
 	// A literal is uvarint(len<<1) + len. A counter@actor is its index
 	// plus at most one varint byte per counter digit plus the actor's
-	// entry, which fits the same bound.
+	// entry, which fits the same bound. Through a dictionary, a literal's
+	// length is shifted left once more and a reference is at most two
+	// bytes, which the same bounds cover.
 	ref := func(s string) int {
 		refs++
 		return 1 + uvarintLen(uint64(len(s))) + len(s)
 	}
 	str := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+	dstr := func(s string) int { return uvarintLen(uint64(len(s))<<1) + len(s) }
 	n := 1 + binary.MaxVarintLen64 + uvarintLen(uint64(len(chs)))
 	for i := range chs {
 		ch := &chs[i]
@@ -69,7 +79,7 @@ func ChangesSizeHint(chs []Change) int {
 		for j := range ch.Ops {
 			op := &ch.Ops[j]
 			n += 1 + uvarintLen(uint64(op.Type)) + uvarintLen(op.TS.Counter) + entry(op.TS.Actor) +
-				ref(string(op.Obj)) + str(op.Key) + ref(op.Elem) + 1 +
+				ref(string(op.Obj)) + dstr(op.Key) + ref(op.Elem) + 1 +
 				uvarintLen(uint64(op.Kind)) + uvarintLen(uint64(op.Delta<<1)^uint64(op.Delta>>63))
 			switch op.Val.Kind {
 			case ValStr:

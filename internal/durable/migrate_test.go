@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -207,4 +209,63 @@ func TestRecoverVersion1WALThenVersion2Appends(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after snapshot", 0)
+}
+
+// TestOpenRefusesFutureFormatRecord: a record that checksums but holds
+// a change format this build does not know — a newer build's WAL — is
+// not a torn frame. Open must fail with crdt's unsupported-version
+// error and leave every file byte for byte as it was, instead of
+// truncating the segment at that record and removing the segments
+// after it.
+func TestOpenRefusesFutureFormatRecord(t *testing.T) {
+	src := migrationDoc(t)
+	chs := src.GetChanges(nil)
+	record := func(chs []crdt.Change) []byte {
+		return appendFrame(nil, crdt.AppendComponents(nil, map[string][]crdt.Change{"json": chs}, nil))
+	}
+	// A valid record, then one whose change encoding carries a future
+	// version byte, re-checksummed so only its version is wrong.
+	future := crdt.AppendComponents(nil, map[string][]crdt.Change{"json": chs[1:2]}, nil)
+	at := 1 + 1 + len("json") + 1 // ncomponents, name, enc length
+	if future[at] != crdt.BinaryFormatVersion {
+		t.Fatalf("byte %d of the record is %#x, want the format version", at, future[at])
+	}
+	future[at] = crdt.BinaryFormatVersion + 1
+
+	dir := t.TempDir()
+	files := map[string][]byte{
+		segName(1): append(record(chs[:1]), appendFrame(nil, future)...),
+		segName(2): record(chs[2:3]),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := Open(dir, Options{Fsync: FsyncNever})
+	if err == nil {
+		_ = st.Close()
+		t.Fatal("Open accepted a record of an unknown change format")
+	}
+	var uv *crdt.UnsupportedVersionError
+	if !errors.As(err, &uv) || uv.Version != crdt.BinaryFormatVersion+1 || !errors.Is(err, crdt.ErrBinaryFormat) {
+		t.Fatalf("Open err = %v, want an unsupported-version error for version %d", err, crdt.BinaryFormatVersion+1)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("the directory holds %d files after the failed Open, want %d", len(entries), len(files))
+	}
+	for name, want := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s changed on disk: %d bytes, want %d", name, len(got), len(want))
+		}
+	}
 }

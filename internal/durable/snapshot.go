@@ -21,7 +21,7 @@ import (
 // writeSnapshotFile atomically writes the snapshot covering everything
 // before WAL segment seq.
 func writeSnapshotFile(dir string, seq uint64, components map[string][]crdt.Change) error {
-	frame := appendFrame(nil, crdt.AppendComponents(nil, components))
+	frame := appendFrame(nil, crdt.AppendComponents(nil, components, nil))
 	tmp := filepath.Join(dir, snapName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -45,8 +45,11 @@ func writeSnapshotFile(dir string, seq uint64, components map[string][]crdt.Chan
 }
 
 // loadSnapshotFile reads and validates one snapshot file. Corruption
-// (torn frame, bad CRC, undecodable payload) is reported via errBadFrame
-// so recovery can fall back to an older snapshot or full WAL replay.
+// (torn frame, bad CRC) is reported via errBadFrame so recovery can
+// fall back to an older snapshot or full WAL replay. A payload that
+// checksums but does not decode, such as one of a newer change format,
+// is an error instead: the segments it covers are gone, so falling
+// back would silently lose them.
 func loadSnapshotFile(path string) (map[string][]crdt.Change, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,7 +62,7 @@ func loadSnapshotFile(path string) (map[string][]crdt.Change, error) {
 	}
 	components, err := crdt.DecodeComponents(payload)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w: %v", filepath.Base(path), errBadFrame, err)
+		return nil, fmt.Errorf("durable: snapshot %s: %w", filepath.Base(path), err)
 	}
 	return components, nil
 }

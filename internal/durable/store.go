@@ -329,7 +329,9 @@ func (s *Store) recover() error {
 
 // replaySegment replays one segment file into rec, returning the byte
 // offset of the last valid frame boundary, the number of frames
-// replayed, and whether a torn/corrupt frame terminated the scan.
+// replayed, and whether a torn/corrupt frame terminated the scan. Only
+// a frame that fails its length or checksum counts as torn; a frame
+// that checksums but does not decode is an error.
 func (s *Store) replaySegment(path string, rec *Recovery) (valid int64, frames int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,9 +351,12 @@ func (s *Store) replaySegment(path string, rec *Recovery) (valid int64, frames i
 		}
 		components, derr := crdt.DecodeComponents(payload)
 		if derr != nil {
-			// The frame checksummed but does not decode — treat as
-			// corruption and stop, same as a torn frame.
-			return valid, frames, true, nil
+			// The frame checksummed, so it is not torn: it is a record
+			// this build cannot read, such as one of a newer change
+			// format. Fail Open and leave the files alone; truncating
+			// here would discard every record from it on.
+			return valid, frames, false, fmt.Errorf("durable: %s: record at offset %d: %w",
+				filepath.Base(path), valid, derr)
 		}
 		for name, chs := range components {
 			rec.Components[name] = append(rec.Components[name], chs...)
@@ -384,7 +389,7 @@ func (s *Store) Append(components map[string][]crdt.Change) error {
 	if hint := crdt.ComponentsSizeHint(components); cap(ebuf.B) < hint {
 		ebuf.B = make([]byte, 0, hint)
 	}
-	ebuf.B = crdt.AppendComponents(ebuf.B[:0], components)
+	ebuf.B = crdt.AppendComponents(ebuf.B[:0], components, nil)
 
 	s.mu.Lock()
 	if s.closed {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand/v2"
 	"net"
 	"reflect"
@@ -37,19 +38,34 @@ func goldenFrames() map[string]*frame {
 	}
 }
 
-// goldenFrameHex pins the payload layout of each golden frame. If this
-// test fails after an intentional layout change, bump wireVersion and
-// repin — never repin under the same version byte.
+// goldenFrameHex pins the payload layout of each golden frame, encoded
+// without a dictionary. If this test fails after an intentional layout
+// change, bump wireVersion and repin — never repin under the same
+// version byte.
 var goldenFrameHex = map[string]string{
-	// version, kind, from "edge-1", heads {json: {cloud 2, edge-1 3},
-	// tables: {cloud 1}}, no delta.
+	// kind, version, from "edge-1", heads {json: {cloud 2, edge-1 3},
+	// tables: {cloud 1}}.
+	"hello": "0104" + "06656467652d31" +
+		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401",
+	// kind, delta {json: 48-byte change batch: actors [edge-1 cloud],
+	// edge-1 seq 3 deps {cloud 2}, two ops whose heads say "the
+	// change's actor", the second also "previous counter + 1"; 4
+	// travels as a varint}.
+	"state": "02" +
+		"01" + "046a736f6e" + "30" + "02" + "02" + "06656467652d31" + "05636c6f7564" + "01" +
+		"00" + "03" + "010102" + "00" + "02" +
+		"12" + "09" + "08726f6f74" + "016e" + "00" + "8308" +
+		"32" + "08726f6f74" + "0166" + "00" + "0502cafe",
+	"heartbeat": "03",
+}
+
+// wireV3Frames are the goldens of wire version 3: a 4-byte length word,
+// and every payload led by the version byte and carrying sender, heads
+// and delta.
+var wireV3Frames = map[string]string{
 	"hello": "0301" + "06656467652d31" +
 		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401" +
 		"00",
-	// version, kind, no from, no heads, delta {json: 48-byte change
-	// batch: actors [edge-1 cloud], edge-1 seq 3 deps {cloud 2}, two
-	// ops whose heads say "the change's actor", the second also
-	// "previous counter + 1"; 4 travels as a varint}.
 	"state": "0302" + "00" + "00" +
 		"01" + "046a736f6e" + "30" + "02" + "02" + "06656467652d31" + "05636c6f7564" + "01" +
 		"00" + "03" + "010102" + "00" + "02" +
@@ -72,11 +88,11 @@ var wireV2Frames = map[string]string{
 
 func TestFrameGolden(t *testing.T) {
 	for name, f := range goldenFrames() {
-		got := hex.EncodeToString(appendFrame(nil, f))
+		got := hex.EncodeToString(appendFrame(nil, f, nil))
 		if got != goldenFrameHex[name] {
 			t.Errorf("%s frame drifted from golden.\n got: %s\nwant: %s", name, got, goldenFrameHex[name])
 		}
-		back, err := decodeFrame(appendFrame(nil, f))
+		back, err := decodeFrame(appendFrame(nil, f, nil), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -86,31 +102,152 @@ func TestFrameGolden(t *testing.T) {
 	}
 }
 
-// lengthPrefixed frames raw payload bytes the way the wire does.
+// goldenSession is an edge's first four frames on one connection: its
+// hello, then three one-change state frames through the connection's
+// dictionary. The first state frame carries every string in full and
+// enters it into the dictionary; the second repeats them all as
+// references; the third adds one new key.
+func goldenSession() []*frame {
+	set := func(seq, counter uint64, key string, n float64) Delta {
+		return Delta{CompTables: {{
+			Actor: "edge1/t", Seq: seq, Deps: crdt.VersionVector{"cloud/t": 7},
+			Ops: []crdt.Op{{Type: crdt.OpSet, TS: crdt.TS{Counter: counter, Actor: "edge1/t"},
+				Obj: "12@cloud/t", Key: key, Val: crdt.Num(n)}},
+		}}}
+	}
+	return []*frame{
+		{Kind: frameHello, From: "edge1", Heads: Heads{CompTables: {"cloud/t": 7, "edge1/t": 2}}},
+		{Kind: frameState, Delta: set(3, 40, "stock", 4)},
+		{Kind: frameState, Delta: set(4, 41, "stock", 3)},
+		{Kind: frameState, Delta: set(5, 42, "loans", 1)},
+	}
+}
+
+// goldenSessionHex pins goldenSession on the wire, length words
+// included.
+var goldenSessionHex = []string{
+	// Hello: length word 2×35, no dictionary.
+	"46" + "0104" + "056564676531" + "01" + "067461626c6573" + "02" + "07636c6f75642f7407" + "0765646765312f7402",
+	// Length word 2×49. Literals (length×2), each entered into the
+	// dictionary: "tables" (entry 0), actors "edge1/t" (1) and
+	// "cloud/t" (2), key "stock" (3). The op's object "12@cloud/t" is
+	// a counter@actor ref into the record's actor table, as without a
+	// dictionary.
+	"62" + "02" + "01" + "0c7461626c6573" + "27" +
+		"02" + "02" + "0e65646765312f74" + "0e636c6f75642f74" + "01" +
+		"00" + "03" + "010107" + "00" + "01" +
+		"12" + "28" + "030c" + "0a73746f636b" + "00" + "8308",
+	// Length word 2×24: the same strings as references (index×2+1).
+	"30" + "02" + "01" + "01" + "14" +
+		"02" + "02" + "03" + "05" + "01" +
+		"00" + "04" + "010107" + "00" + "01" +
+		"12" + "29" + "030c" + "07" + "00" + "8306",
+	// Length word 2×29: references, and "loans" as a new literal
+	// (entry 4).
+	"3a" + "02" + "01" + "01" + "19" +
+		"02" + "02" + "03" + "05" + "01" +
+		"00" + "05" + "010107" + "00" + "01" +
+		"12" + "2a" + "030c" + "0a6c6f616e73" + "00" + "8302",
+}
+
+// TestWireSessionGolden pins a session's bytes: the hello without a
+// dictionary, then state frames through the connection's. Read back
+// through one reading dictionary, the frames decode unchanged, and both
+// dictionaries end holding the same five strings.
+func TestWireSessionGolden(t *testing.T) {
+	var wire bytes.Buffer
+	var out, in crdt.StringDict
+	// sessionDict is nil for the hello, which goes out before the
+	// session's dictionaries exist.
+	sessionDict := func(i int, d *crdt.StringDict) *crdt.StringDict {
+		if i == 0 {
+			return nil
+		}
+		return d
+	}
+	eb := crdt.GetEncodeBuffer()
+	defer eb.Release()
+	for i, f := range goldenSession() {
+		blob, err := putFrame(eb, f, sessionDict(i, &out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(blob); got != goldenSessionHex[i] {
+			t.Errorf("frame %d drifted from golden.\n got: %s\nwant: %s", i, got, goldenSessionHex[i])
+		}
+		wire.Write(blob)
+	}
+	for i, want := range goldenSession() {
+		got, n, err := readFrame(&wire, sessionDict(i, &in))
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if n != len(goldenSessionHex[i])/2 {
+			t.Errorf("frame %d: read %d wire bytes, want %d", i, n, len(goldenSessionHex[i])/2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d: read back\n%+v\nwant\n%+v", i, got, want)
+		}
+	}
+	if out.Len() != 5 || in.Len() != 5 {
+		t.Errorf("dictionaries hold %d (writer) and %d (reader) strings, want 5 each", out.Len(), in.Len())
+	}
+}
+
+// TestWireDictionaryErrors: a reference to an entry the reading
+// dictionary does not hold — a stream read from its middle, or from a
+// peer whose table ran past the bound — is a malformed frame, not a
+// panic.
+func TestWireDictionaryErrors(t *testing.T) {
+	// The session's second state frame: nothing but references.
+	refs, err := hex.DecodeString(goldenSessionHex[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh crdt.StringDict
+	if _, _, err := readFrame(bytes.NewReader(refs), &fresh); !errors.Is(err, errFrameFormat) ||
+		!strings.Contains(err.Error(), "dictionary index") {
+		t.Fatalf("references without their literals: err = %v, want an unknown-index frame error", err)
+	}
+	// Without a dictionary the references are not strings at all.
+	if _, _, err := readFrame(bytes.NewReader(refs), nil); !errors.Is(err, errFrameFormat) {
+		t.Fatalf("references read without a dictionary: err = %v, want a frame error", err)
+	}
+}
+
+// lengthPrefixed frames raw payload bytes the way wire versions up to 3
+// did, and a JSON-era peer too: a 4-byte big-endian length word.
 func lengthPrefixed(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
+// wireFramed frames raw payload bytes the way this wire version does.
+func wireFramed(payload []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(payload))<<1), payload...)
+}
+
 // TestJSONEraHelloRejected: a peer still framing JSON must be refused
 // with an error that says so, at the frame layer and at the master's
-// hello.
+// hello. So must a hello of a future wire version.
 func TestJSONEraHelloRejected(t *testing.T) {
-	jsonHello := []byte(`{"kind":"hello","from":"edge-1","window":64}`)
-	_, _, err := readFrame(bytes.NewReader(lengthPrefixed(jsonHello)))
+	jsonHello := lengthPrefixed([]byte(`{"kind":"hello","from":"edge-1","window":64}`))
+	_, _, err := readFrame(bytes.NewReader(jsonHello), nil)
 	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), "JSON") {
 		t.Fatalf("readFrame(JSON hello) err = %v, want a malformed-frame error naming JSON", err)
 	}
-	_, _, err = readFrame(bytes.NewReader(lengthPrefixed([]byte{wireVersion + 1, byte(frameHello)})))
+	future := wireFramed([]byte{byte(frameHello), wireVersion + 1})
+	_, _, err = readFrame(bytes.NewReader(future), nil)
 	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), "wire version") {
 		t.Fatalf("readFrame(future version) err = %v, want a wire-version error", err)
 	}
 	expectBadHello(t, jsonHello, "JSON")
+	expectBadHello(t, future, fmt.Sprintf("peer speaks wire version %d", wireVersion+1))
 }
 
-// expectBadHello sends payload as a peer's hello to a live master and
-// requires the master to refuse it with a bad-hello error containing
-// want, counting no connect.
-func expectBadHello(t *testing.T, payload []byte, want string) {
+// expectBadHello sends wire as a peer's first bytes to a live master
+// and requires the master to refuse it with a bad-hello error
+// containing want, counting no connect.
+func expectBadHello(t *testing.T, wire []byte, want string) {
 	t.Helper()
 	srv, err := ServeMasterConfig("127.0.0.1:0", &Endpoint{Name: "cloud", State: newState(t, "cloud")}, fastTCPConfig())
 	if err != nil {
@@ -129,7 +266,7 @@ func expectBadHello(t *testing.T, payload []byte, want string) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if _, err := conn.Write(lengthPrefixed(payload)); err != nil {
+	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -145,24 +282,41 @@ func expectBadHello(t *testing.T, payload []byte, want string) {
 	}
 }
 
+// expectOldHelloRejected requires an old wire version's hello, framed
+// as that version framed it, to be refused with an error naming the
+// version, at the frame layer and at the master.
+func expectOldHelloRejected(t *testing.T, helloHex string, version int) {
+	t.Helper()
+	hello, err := hex.DecodeString(helloHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("peer speaks wire version %d", version)
+	_, _, err = readFrame(bytes.NewReader(lengthPrefixed(hello)), nil)
+	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("readFrame(v%d hello) err = %v, want a wire-version error", version, err)
+	}
+	expectBadHello(t, lengthPrefixed(hello), want)
+}
+
 // TestWireV2HelloRejected: a peer on wire version 2 writes version-1
 // change records; it must be refused at the hello with an error naming
 // the wire version, not reconnect forever on undecodable state frames.
 func TestWireV2HelloRejected(t *testing.T) {
-	hello, err := hex.DecodeString(wireV2Frames["hello"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = readFrame(bytes.NewReader(lengthPrefixed(hello)))
-	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), "peer speaks wire version 2") {
-		t.Fatalf("readFrame(v2 hello) err = %v, want a wire-version error", err)
-	}
-	expectBadHello(t, hello, "peer speaks wire version 2")
+	expectOldHelloRejected(t, wireV2Frames["hello"], 2)
 }
 
-// genFrame builds a random frame in the shape decodeFrame returns: empty
-// maps and vectors are nil, every change has an op, byte values are
-// non-nil, numbers are finite.
+// TestWireV3HelloRejected: a peer on wire version 3 frames with a
+// 4-byte length word and sends state frames this build cannot read; it
+// must be refused at the hello with an error naming its version.
+func TestWireV3HelloRejected(t *testing.T) {
+	expectOldHelloRejected(t, wireV3Frames["hello"], 3)
+}
+
+// genFrame builds a random frame in the shape decodeFrame returns: a
+// hello carries From and Heads, a state frame Delta and a frame of
+// another kind nothing; empty maps and vectors are nil, every change
+// has an op, byte values are non-nil, numbers are finite.
 func genFrame(r *rand.Rand) *frame {
 	str := func() string {
 		b := make([]byte, r.IntN(6))
@@ -198,28 +352,36 @@ func genFrame(r *rand.Rand) *frame {
 			return crdt.Value{Kind: k}
 		}
 	}
-	f := &frame{Kind: frameKind(r.IntN(256)), From: str()}
-	if n := r.IntN(3); n > 0 {
-		f.Heads = Heads{}
-		for i := 0; i < n; i++ {
-			f.Heads[str()] = vv()
-		}
+	f := &frame{Kind: frameKind(r.IntN(256))}
+	if r.IntN(2) == 0 {
+		f.Kind = frameKind(1 + r.IntN(3))
 	}
-	if n := r.IntN(3); n > 0 {
-		f.Delta = Delta{}
-		for i := 0; i < n; i++ {
-			chs := make([]crdt.Change, 1+r.IntN(2))
-			for j := range chs {
-				chs[j] = crdt.Change{Actor: crdt.ActorID(str()), Seq: r.Uint64(), Deps: vv(), Msg: str()}
-				for k := 0; k <= r.IntN(2); k++ {
-					chs[j].Ops = append(chs[j].Ops, crdt.Op{
-						Type: crdt.OpType(r.IntN(256)), TS: crdt.TS{Counter: r.Uint64(), Actor: crdt.ActorID(str())},
-						Obj: crdt.ObjID(str()), Key: str(), Elem: str(), Val: value(),
-						Kind: crdt.ObjKind(r.IntN(256)), Delta: r.Int64() - r.Int64(),
-					})
-				}
+	switch f.Kind {
+	case frameHello:
+		f.From = str()
+		if n := r.IntN(3); n > 0 {
+			f.Heads = Heads{}
+			for i := 0; i < n; i++ {
+				f.Heads[str()] = vv()
 			}
-			f.Delta[str()] = chs
+		}
+	case frameState:
+		if n := r.IntN(3); n > 0 {
+			f.Delta = Delta{}
+			for i := 0; i < n; i++ {
+				chs := make([]crdt.Change, 1+r.IntN(2))
+				for j := range chs {
+					chs[j] = crdt.Change{Actor: crdt.ActorID(str()), Seq: r.Uint64(), Deps: vv(), Msg: str()}
+					for k := 0; k <= r.IntN(2); k++ {
+						chs[j].Ops = append(chs[j].Ops, crdt.Op{
+							Type: crdt.OpType(r.IntN(256)), TS: crdt.TS{Counter: r.Uint64(), Actor: crdt.ActorID(str())},
+							Obj: crdt.ObjID(str()), Key: str(), Elem: str(), Val: value(),
+							Kind: crdt.ObjKind(r.IntN(256)), Delta: r.Int64() - r.Int64(),
+						})
+					}
+				}
+				f.Delta[str()] = chs
+			}
 		}
 	}
 	return f
@@ -228,42 +390,45 @@ func genFrame(r *rand.Rand) *frame {
 // FuzzFrameCodec checks two properties for every input: decoding
 // arbitrary bytes returns a frame or an error and never panics, and a
 // frame generated from the input's hash survives encode then decode
-// unchanged.
+// unchanged. Both run without a dictionary; FuzzFrameStream covers
+// streams through one.
 func FuzzFrameCodec(f *testing.F) {
 	for _, g := range goldenFrames() {
-		f.Add(appendFrame(nil, g))
+		f.Add(appendFrame(nil, g, nil))
 	}
 	f.Add([]byte(`{"kind":"hello"}`))
 	f.Add([]byte{})
-	f.Add([]byte{wireVersion})
+	f.Add([]byte{byte(frameHello)})
 	// A version-1 ack frame (kind 4, acked 16), refused by version.
 	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0x20})
-	// Wire-version-2 frames, refused by version.
-	for _, h := range wireV2Frames {
-		b, _ := hex.DecodeString(h)
-		f.Add(b)
+	// Frames of wire versions 2 and 3, whose payloads led with the
+	// version byte.
+	for _, frames := range []map[string]string{wireV2Frames, wireV3Frames} {
+		for _, h := range frames {
+			b, _ := hex.DecodeString(h)
+			f.Add(b)
+		}
 	}
-	f.Add([]byte{wireVersion, byte(frameState), 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{byte(frameState), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fr, err := decodeFrame(data); err == nil {
+		if fr, err := decodeFrame(data, nil); err == nil {
 			// Whatever decodes re-encodes to a payload that decodes
-			// to the same frame.
 			// to the same frame (compared as bytes: a decoded number
 			// may be NaN, which DeepEqual never equates).
-			enc := appendFrame(nil, fr)
-			again, err := decodeFrame(enc)
-			if err != nil || !bytes.Equal(appendFrame(nil, again), enc) {
+			enc := appendFrame(nil, fr, nil)
+			again, err := decodeFrame(enc, nil)
+			if err != nil || !bytes.Equal(appendFrame(nil, again, nil), enc) {
 				t.Fatalf("decoded frame does not survive re-encoding: %v", err)
 			}
 		}
 		h := fnv.New64a()
 		_, _ = h.Write(data)
 		want := genFrame(rand.New(rand.NewPCG(h.Sum64(), uint64(len(data)))))
-		enc := appendFrame(nil, want)
+		enc := appendFrame(nil, want, nil)
 		if hint := frameSizeHint(want); len(enc) > hint {
 			t.Fatalf("payload of %d bytes exceeds its size hint %d", len(enc), hint)
 		}
-		got, err := decodeFrame(enc)
+		got, err := decodeFrame(enc, nil)
 		if err != nil {
 			t.Fatalf("decode(encode(f)): %v", err)
 		}
@@ -272,6 +437,116 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 	})
 }
+
+// manyKeysFrame is a state frame of one change whose n ops set n
+// distinct keys: more than the dictionary's bound fills it, and the
+// strings past the bound stay literal.
+func manyKeysFrame(n int) *frame {
+	ch := crdt.Change{Actor: "filler", Seq: 1}
+	for i := 0; i < n; i++ {
+		ch.Ops = append(ch.Ops, crdt.Op{Type: crdt.OpSet, TS: crdt.TS{Counter: uint64(i + 1), Actor: "filler"},
+			Obj: "root", Key: fmt.Sprintf("key-%d", i), Val: crdt.Num(float64(i))})
+	}
+	return &frame{Kind: frameState, Delta: Delta{CompJSON: {ch}}}
+}
+
+// FuzzFrameStream checks a connection's frames end to end: a random
+// sequence of frames, written through one wireConn (its dictionary,
+// and compression when the input asks for it), reads back through one
+// reading dictionary exactly as written; any cut or corruption of the
+// stream makes reading fail, never panic; and arbitrary input read as
+// a stream never panics either. An input whose first byte is odd
+// starts with a frame that fills the dictionary past its bound.
+func FuzzFrameStream(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1})
+	f.Add([]byte{3, 0x40, 0x07})
+	for _, h := range goldenSessionHex {
+		b, _ := hex.DecodeString(h)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in crdt.StringDict
+		for r := bytes.NewReader(data); ; {
+			if _, _, err := readFrame(r, &in); err != nil {
+				break
+			}
+		}
+
+		h := fnv.New64a()
+		_, _ = h.Write(data)
+		r := rand.New(rand.NewPCG(h.Sum64(), uint64(len(data))))
+		var frames []*frame
+		if len(data) > 0 && data[0]&1 == 1 {
+			// Past crdt's bound of 1024 strings.
+			frames = append(frames, manyKeysFrame(1200))
+		}
+		for n := 1 + r.IntN(8); n > 0; n-- {
+			g := genFrame(r)
+			if g.Kind == frameHello {
+				// A hello starts a connection; mid-stream it is a frame
+				// of a kind the session reader ignores.
+				g.Kind = frameHeartbeat
+				g.From, g.Heads = "", nil
+			}
+			frames = append(frames, g)
+		}
+		var wire bytes.Buffer
+		wc := &wireConn{c: &bufConn{buf: &wire}, compress: len(data) > 1 && data[1]&1 == 1}
+		if err := wc.writeFrames(func(int, int, int) {}, frames...); err != nil {
+			t.Fatal(err)
+		}
+		stream := wire.Bytes()
+		var out crdt.StringDict
+		rd := bytes.NewReader(stream)
+		for i, want := range frames {
+			got, _, err := readFrame(rd, &out)
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", i, len(frames), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame %d read back as\n%+v\nwant\n%+v", i, got, want)
+			}
+		}
+		if rd.Len() != 0 || out.Len() != wc.dict.Len() {
+			t.Fatalf("%d bytes left over; dictionaries of %d (reader) and %d (writer) strings",
+				rd.Len(), out.Len(), wc.dict.Len())
+		}
+
+		// A cut stream fails on its last, partial frame; a flipped byte
+		// may decode to other frames but never panics.
+		cut := r.IntN(len(stream))
+		var cutDict crdt.StringDict
+		read := 0
+		for rd := bytes.NewReader(stream[:cut]); ; read++ {
+			if _, _, err := readFrame(rd, &cutDict); err != nil {
+				if err == io.EOF && rd.Len() != 0 {
+					t.Fatalf("a cut stream ended cleanly with %d bytes unread", rd.Len())
+				}
+				break
+			}
+		}
+		if read >= len(frames) {
+			t.Fatalf("a stream cut at %d of %d bytes read all %d frames", cut, len(stream), len(frames))
+		}
+		flipped := append([]byte(nil), stream...)
+		flipped[cut] ^= byte(1 + r.IntN(255))
+		var flipDict crdt.StringDict
+		for rd := bytes.NewReader(flipped); ; {
+			if _, _, err := readFrame(rd, &flipDict); err != nil {
+				break
+			}
+		}
+	})
+}
+
+// bufConn is a net.Conn that writes into a buffer.
+type bufConn struct {
+	net.Conn
+	buf *bytes.Buffer
+}
+
+func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
 // BenchmarkFrameCodec encodes and decodes one 64-change state frame.
 // Encoding into a warm pooled buffer allocates nothing.
@@ -290,16 +565,12 @@ func BenchmarkFrameCodec(b *testing.B) {
 	f := &frame{Kind: frameState, Delta: Delta{CompJSON: chs[len(chs)-64:]}}
 	eb := crdt.GetEncodeBuffer()
 	defer eb.Release()
-	blob, err := putFrame(eb, f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := append([]byte(nil), blob[4:]...)
+	payload := appendFrame(nil, f, nil)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(payload)))
 		for i := 0; i < b.N; i++ {
-			if _, err := putFrame(eb, f); err != nil {
+			if _, err := putFrame(eb, f, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -308,7 +579,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(payload)))
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeFrame(payload); err != nil {
+			if _, err := decodeFrame(payload, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -339,22 +610,28 @@ func BenchmarkRowFrameDecode(b *testing.B) {
 		st.Tables.Doc().Commit("")
 	}
 	chs := st.Delta(nil)[CompTables]
-	payload := appendFrame(nil, &frame{Kind: frameState, Delta: Delta{CompTables: chs[len(chs)-64:]}})
+	payload := appendFrame(nil, &frame{Kind: frameState, Delta: Delta{CompTables: chs[len(chs)-64:]}}, nil)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeFrame(payload); err != nil {
+		if _, err := decodeFrame(payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestFrameEncodeAllocatesNothing pins the pooled encode path's budget.
+// TestFrameEncodeAllocatesNothing pins the pooled encode path's budget:
+// without a dictionary, and through one that already holds the frame's
+// strings.
 func TestFrameEncodeAllocatesNothing(t *testing.T) {
 	f := goldenFrames()["state"]
 	eb := crdt.GetEncodeBuffer()
 	defer eb.Release()
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = putFrame(eb, f) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = putFrame(eb, f, nil) }); allocs != 0 {
 		t.Fatalf("encoding a state frame into a warm buffer allocated %.0f times, want 0", allocs)
+	}
+	var dict crdt.StringDict
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = putFrame(eb, f, &dict) }); allocs != 0 {
+		t.Fatalf("encoding a state frame through a warm dictionary allocated %.0f times, want 0", allocs)
 	}
 }

@@ -10,18 +10,21 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/crdt"
 	"repro/internal/obs"
 )
 
 // This file provides a real-network transport for the synchronization
 // protocol — the analog of the paper's bidirectional socket.io channel.
 // A TCPMaster listens for edge replicas; each TCPEdge dials in and
-// exchanges a hello carrying its version vector. An edge then pushes
-// its state deltas every Interval, so its tick is the one batching
-// point. The master is the hub between edges and forwards on events: a
-// cloud commit (TCPMaster.Do) or an edge delta it has applied and
-// persisted wakes the pushers of the other sessions at once, and its
-// own tick is only a fallback. TCP's reliable ordered delivery lets the
+// exchanges a hello carrying its version vector. Both ends then push on
+// events, and their Interval tick is only the idle fallback. An edge
+// pushes its own commits (TCPEdge.Do), paced: a commit goes out at once
+// unless the edge pushed less than edgePace ago, and then with every
+// commit made meanwhile when that pace has run out. The master is the
+// hub between edges and forwards at once: a cloud commit (TCPMaster.Do)
+// or an edge delta it has applied and persisted wakes the pushers of
+// the other sessions. TCP's reliable ordered delivery lets the
 // send cursor advance on write, and TCP's own flow control paces the
 // pusher: a session has one writer (its pusher) and a reader that never
 // writes, so a blocked write can never wait on its own reader.
@@ -78,8 +81,12 @@ type TCPStats struct {
 	// that TCP's flow control paces.
 	WindowStalls int64
 	// WokenPushes counts pushes started by a wake rather than the tick:
-	// the master's forwards and commits.
+	// the master's forwards and commits, and an edge's commits.
 	WokenPushes int64
+	// PacedPushes counts an edge's wakes that came less than edgePace
+	// after its last push: each holds its push until the pace runs out,
+	// and the wakes that follow meanwhile join it.
+	PacedPushes int64
 	// CompressedFrames counts outbound frames shipped flate-compressed.
 	CompressedFrames int64
 }
@@ -125,6 +132,7 @@ type tcpObs struct {
 	// ops elided by coalescing, multi-write pushes, and compression.
 	batchOpsElided, batchWindowStalls     *obs.Counter
 	batchCompressedFrames, batchWoken     *obs.Counter
+	batchPaced                            *obs.Counter
 	batchFramesPerWrite, batchChangesSent *obs.Histogram
 }
 
@@ -147,6 +155,7 @@ func newTCPObs(o *obs.Obs, prefix string) tcpObs {
 		batchWindowStalls:     o.Counter(prefix + ".batch.window_stalls"),
 		batchCompressedFrames: o.Counter(prefix + ".batch.compressed_frames"),
 		batchWoken:            o.Counter(prefix + ".batch.woken_pushes"),
+		batchPaced:            o.Counter(prefix + ".batch.paced_pushes"),
 		batchFramesPerWrite:   o.Histogram(prefix + ".batch.frames_per_write"),
 		batchChangesSent:      o.Histogram(prefix + ".batch.changes_per_push"),
 	}
@@ -408,7 +417,7 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 		_ = conn.SetDeadline(time.Now().Add(m.cfg.DialTimeout))
 	}
 	r := bufio.NewReader(conn)
-	hello, n, err := readFrame(r)
+	hello, n, err := readFrame(r, nil)
 	if err != nil || hello.Kind != frameHello {
 		m.fail(badHelloErr("hello", hello, err))
 		return
@@ -466,6 +475,10 @@ type TCPEdge struct {
 	peerKnown Heads
 	conn      net.Conn
 
+	// wake is the session pusher's 1-slot wake-up channel: Do pokes it
+	// after a commit. It outlives sessions, so a commit made while the
+	// edge reconnects is pushed once the next session starts.
+	wake chan struct{}
 	stop chan struct{}
 	once sync.Once
 	rng  *rand.Rand // supervisor goroutine only
@@ -491,6 +504,7 @@ func DialEdgeConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPEdge, error) 
 	e := &TCPEdge{
 		tcpSide: tcpSide{ep: ep, cfg: cfg},
 		addr:    addr,
+		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -502,6 +516,26 @@ func DialEdgeConfig(addr string, ep *Endpoint, cfg TCPConfig) (*TCPEdge, error) 
 	e.wg.Add(1)
 	go e.supervise(conn, r)
 	return e, nil
+}
+
+// Do runs f while holding the state lock and then wakes the session's
+// pusher if f changed the replicated state, so a local commit reaches
+// the master within edgePace instead of on the next tick. A read-only f
+// wakes nothing. The serve path runs a request's persist inside f
+// (cluster's WrapInvoke), so only durable state is pushed. The wake
+// comes after the lock is released: a pusher woken under it would only
+// block on it.
+func (e *TCPEdge) Do(f func()) {
+	moved := func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		v := e.ep.State.Version()
+		f()
+		return e.ep.State.Version() != v
+	}()
+	if moved {
+		poke(e.wake)
+	}
 }
 
 // SetObs mirrors the edge's transport counters into the registry under
@@ -597,7 +631,7 @@ func (e *TCPEdge) connect() (net.Conn, *bufio.Reader, error) {
 		return nil, nil, err
 	}
 	r := bufio.NewReader(conn)
-	hello, hn, err := readFrame(r)
+	hello, hn, err := readFrame(r, nil)
 	if err != nil || hello.Kind != frameHello {
 		_ = conn.Close()
 		return nil, nil, badHelloErr("master hello", hello, err)
@@ -685,7 +719,8 @@ func (e *TCPEdge) reconnect() (net.Conn, *bufio.Reader, bool) {
 // runSession drives one live connection until it is unusable; the
 // connection is closed on return.
 func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader) {
-	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master"}).run(conn, r)
+	(&tcpSession{tcpSide: &e.tcpSide, known: &e.peerKnown, halt: e.stop, peer: "master",
+		wake: e.wake, pace: min(edgePace, e.cfg.Interval)}).run(conn, r)
 }
 
 // tcpSession is the replication step both ends of a TCP link run once
@@ -703,8 +738,12 @@ type tcpSession struct {
 	// peer names the other side in the dead-peer error.
 	peer string
 	// wake starts a push ahead of the tick: the master signals it on a
-	// cloud commit or to relay another edge's delta. An edge has none.
+	// cloud commit or to relay another edge's delta, an edge on a commit.
 	wake chan struct{}
+	// pace is the least time between the starts of two pushes a wake
+	// may begin (0 for the master, which forwards at once): a wake
+	// inside it is held until it runs out.
+	pace time.Duration
 	// relay, when set, runs under mu after an inbound state frame
 	// integrated new changes (the master wakes its other sessions).
 	relay func()
@@ -727,9 +766,20 @@ func (s *tcpSession) run(conn net.Conn, r *bufio.Reader) {
 	s.read(conn, r)
 }
 
+// edgePace is an edge's least time between a push and the next one a
+// commit starts, capped at the edge's Interval. It trades replication
+// lag against per-frame cost: each push is a write and a read syscall,
+// goroutine wake-ups and a WAL record at the master, and the frame's
+// own header. DESIGN.md §23 records the sweep that chose it.
+const edgePace = 40 * time.Millisecond
+
 // push ships the deltas the peer is missing on every tick and every
 // wake, plus heartbeats that keep an idle link inside the peer's read
-// deadline.
+// deadline. A wake sooner than pace after the last push is deferred to
+// a timer at that push's start plus pace. Until the timer fires the
+// pusher stops listening for wakes, so the commits made meanwhile
+// leave one wake in the channel and rouse no goroutine; the deferred
+// push drains that wake and carries them all.
 func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
@@ -739,6 +789,17 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 		defer hb.Stop()
 		hbC = hb.C
 	}
+	// last is when the last push started; paceC fires a deferred push,
+	// and wakeC is nil while one is pending.
+	var last time.Time
+	var paceC <-chan time.Time
+	var paceT *time.Timer
+	wakeC := s.wake
+	defer func() {
+		if paceT != nil {
+			paceT.Stop()
+		}
+	}()
 	for {
 		select {
 		case <-stop:
@@ -751,11 +812,39 @@ func (s *tcpSession) push(wc *wireConn, stop <-chan struct{}) {
 				return
 			}
 		case <-ticker.C:
+			last = time.Now()
 			if err := s.pushDelta(wc, false); err != nil {
 				s.fail(err)
 				return
 			}
-		case <-s.wake:
+		case <-wakeC:
+			if wait := s.pace - time.Since(last); wait > 0 {
+				if paceT == nil {
+					paceT = time.NewTimer(wait)
+				} else {
+					paceT.Reset(wait)
+				}
+				paceC, wakeC = paceT.C, nil
+				s.mu.Lock()
+				s.stats.PacedPushes++
+				s.o.batchPaced.Add(1)
+				s.mu.Unlock()
+				continue
+			}
+			last = time.Now()
+			if err := s.pushDelta(wc, true); err != nil {
+				s.fail(err)
+				return
+			}
+		case <-paceC:
+			paceC, wakeC = nil, s.wake
+			// A wake left since the timer was set is for a commit this
+			// push carries.
+			select {
+			case <-wakeC:
+			default:
+			}
+			last = time.Now()
 			if err := s.pushDelta(wc, true); err != nil {
 				s.fail(err)
 				return
@@ -774,10 +863,6 @@ func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 		s.fail(err)
 	}
 	delta := s.ep.State.Delta(*s.known)
-	var heads Heads
-	if !delta.Empty() {
-		heads = s.ep.State.Heads()
-	}
 	s.mu.Unlock()
 	if delta.Empty() {
 		return nil
@@ -805,16 +890,12 @@ func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 			return err
 		}
 		s.mu.Lock()
-		s.o.batchFramesPerWrite.Observe(float64(len(chunk)))
 		// Merge, never assign: while the lock was released for the write,
 		// the reader may have advanced the cursor past changes the peer
-		// shipped us. The cursor passes exactly what was written; after the
-		// last chunk, heads also covers the ops coalescing elided.
+		// shipped us. The cursor passes exactly what was written, which is
+		// every change of the delta: coalescing elides ops, never changes.
 		for _, f := range chunk {
 			*s.known = advanceHeads(*s.known, f.Delta)
-		}
-		if len(frames) == 0 {
-			*s.known = mergeHeads(*s.known, heads)
 		}
 		s.mu.Unlock()
 	}
@@ -824,11 +905,14 @@ func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 // read applies inbound state frames, counts heartbeats, and treats a
 // silent peer as dead once the read deadline lapses. It never writes.
 func (s *tcpSession) read(conn net.Conn, r *bufio.Reader) {
+	// The inbound direction's dictionary, empty at the hello like the
+	// peer's encoder.
+	var dict crdt.StringDict
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		f, n, err := readFrame(r)
+		f, n, err := readFrame(r, &dict)
 		if err != nil {
 			if isTimeout(err) {
 				s.fail(fmt.Errorf("statesync: %s silent for %v, declaring dead: %w", s.peer, s.cfg.ReadTimeout, err))
@@ -873,11 +957,16 @@ func (s *tcpSession) read(conn net.Conn, r *bufio.Reader) {
 }
 
 // credit returns the writeFrames callback that adds a write of kind
-// frames to the sent-side stats.
+// frames to the sent-side stats. Its call before the write, the only
+// one with frames > 0, also observes the write's frame count, so the
+// histogram never trails what the peer holds either.
 func (s *tcpSession) credit(kind frameKind) func(n, frames, compressed int) {
 	return func(n, frames, compressed int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if kind == frameState && frames > 0 {
+			s.o.batchFramesPerWrite.Observe(float64(frames))
+		}
 		s.stats.BytesSent += int64(n)
 		s.stats.FramesSent += int64(frames)
 		s.stats.CompressedFrames += int64(compressed)

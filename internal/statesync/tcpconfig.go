@@ -44,11 +44,12 @@ func (b BackoffConfig) Delay(attempt int, rng *rand.Rand) time.Duration {
 // mechanism; DefaultTCPConfig returns the supervision-grade settings
 // and WithDefaults fills zero fields from them.
 type TCPConfig struct {
-	// Interval is the delta push period (required, > 0). It is an
-	// edge's batching period: an edge ships its local commits on this
-	// tick only. The master forwards on events — a commit through
-	// TCPMaster.Do or an edge delta it applied — so for the master it
-	// is the fallback tick.
+	// Interval is the fallback push period (required, > 0). Both ends
+	// push on events: an edge its commits through TCPEdge.Do, at most
+	// one push per min(edgePace, Interval) (40 ms), and the master a
+	// commit through TCPMaster.Do or an edge delta it applied, at once.
+	// The tick ships whatever no event did, such as state changed
+	// outside Do.
 	Interval time.Duration
 	// DialTimeout bounds a dial plus handshake (0 = no bound).
 	DialTimeout time.Duration

@@ -14,38 +14,50 @@ import (
 )
 
 // This file is the TCP transport's wire layer: the binary frame codec,
-// optional per-frame flate compression, vectored multi-frame writes,
-// and the chunking of a delta into state frames. tcp.go owns connection
-// lifecycle and drives this layer. There is no flow control here: a
-// session's pusher is its connection's only writer, its reader never
-// writes, and TCP's own window blocks a write while the peer is slow.
+// the per-connection string dictionaries, optional per-frame flate
+// compression, vectored multi-frame writes, and the chunking of a delta
+// into state frames. tcp.go owns connection lifecycle and drives this
+// layer. There is no flow control here: a session's pusher is its
+// connection's only writer, its reader never writes, and TCP's own
+// window blocks a write while the peer is slow.
 //
-// A frame on the wire is a 4-byte big-endian length word (top bit: the
-// payload is flate-compressed) followed by the payload:
+// A frame on the wire is a length word followed by the payload:
 //
-//	payload := wireVersion(1B) kind(1B) string(from) heads delta
-//	heads   := crdt.AppendVectors — per-component version vectors
-//	delta   := crdt.AppendComponents — the WAL's component batch record
-//	string  := uvarint(len) bytes
+//	frame     := uvarint(len<<1 | compressed) payload
+//	payload   := kind(1B) body — flate-compressed when the flag is set
+//	hello     := wireVersion(1B) string(from) heads      (kind 1)
+//	state     := delta                                   (kind 2)
+//	heartbeat := nothing                                 (kind 3)
+//	heads     := crdt.AppendVectors — per-component version vectors
+//	delta     := crdt.AppendComponents through the direction's
+//	             dictionary
+//	string    := uvarint(len) bytes
 //
-// The delta is the very record the WAL appends, so a change is encoded
-// the same way on disk and on the wire. Its change encodings are crdt's
-// change format version 2: each record names its actors once, in a
-// table, and refers to them by index, also inside "counter@actor"
-// object and element IDs; integral numbers travel as varints. There is
-// one wire version and no negotiation: a peer whose first byte differs
-// (a JSON-framed peer's payload starts with '{') fails the hello instead
-// of being misparsed.
+// Only the hello names the wire version and the sender, and carries
+// heads: a state frame is its kind byte and a component batch. Each
+// direction of a connection keeps one crdt.StringDict, started empty
+// at the hello: component names, actors, map keys and literal object
+// IDs cross the connection in full once and as a dictionary index
+// after that (crdt/dict.go). A frame is decoded in the order it was
+// encoded, so the two tables stay in lockstep; a lost connection loses
+// both, and the next hello starts afresh. The batch is otherwise the
+// very record the WAL appends, whose change encodings are crdt's
+// change format version 2; the WAL passes no dictionary, so its
+// records stay self-contained. There is one wire version and no
+// negotiation. A hello of another version fails. A peer of wire
+// version 3 or older, or a JSON-framed one, wrote a 4-byte big-endian
+// length word, whose first byte is 0 below 16 MiB; since no payload
+// is empty, readFrame takes a zero length word for such a peer and
+// names its version (or JSON) instead of misparsing it.
 
-// wireVersion is the payload's first byte. Bump it on any layout change,
-// including one inside the delta's change encodings; peers on different
-// versions refuse each other's hello. Version 3 differs from 2 only in
-// carrying change format version 2: a version-2 peer could not decode
-// it and would reconnect on every state frame, so it is refused at the
-// hello instead.
-const wireVersion byte = 3
+// wireVersion is the hello's version byte. Bump it on any layout
+// change, including one inside the delta's change encodings; peers on
+// different versions refuse each other's hello. Version 4 brought the
+// varint length word, the per-connection dictionaries and state frames
+// without version, sender or heads.
+const wireVersion byte = 4
 
-// frameKind tags wire frames; it is the payload's second byte.
+// frameKind tags wire frames; it is the payload's first byte.
 type frameKind uint8
 
 const (
@@ -68,7 +80,8 @@ func (k frameKind) String() string {
 }
 
 // frame is the wire message. A hello carries From and Heads, a state
-// frame Delta, a heartbeat nothing; readers ignore kinds they do not
+// frame Delta, a heartbeat nothing; the encoder writes only the fields
+// of the frame's kind, and readers skip the body of kinds they do not
 // know.
 type frame struct {
 	Kind  frameKind
@@ -83,41 +96,54 @@ func frameSizeHint(f *frame) int {
 		crdt.VectorsSizeHint(f.Heads) + crdt.ComponentsSizeHint(f.Delta)
 }
 
-// appendFrame appends f's payload encoding to dst. Into a buffer grown
-// to frameSizeHint it allocates nothing.
-func appendFrame(dst []byte, f *frame) []byte {
-	dst = append(dst, wireVersion, byte(f.Kind))
-	dst = binary.AppendUvarint(dst, uint64(len(f.From)))
-	dst = append(dst, f.From...)
-	dst = crdt.AppendVectors(dst, f.Heads)
-	return crdt.AppendComponents(dst, f.Delta)
+// appendFrame appends f's payload encoding to dst, a state frame's
+// delta through dict (nil: the self-contained layout). Into a buffer
+// grown to frameSizeHint it allocates nothing once dict holds the
+// frame's strings.
+func appendFrame(dst []byte, f *frame, dict *crdt.StringDict) []byte {
+	dst = append(dst, byte(f.Kind))
+	switch f.Kind {
+	case frameHello:
+		dst = append(dst, wireVersion)
+		dst = binary.AppendUvarint(dst, uint64(len(f.From)))
+		dst = append(dst, f.From...)
+		return crdt.AppendVectors(dst, f.Heads)
+	case frameState:
+		return crdt.AppendComponents(dst, f.Delta, dict)
+	}
+	return dst
 }
 
 // errFrameFormat is wrapped by every frame decoding failure.
 var errFrameFormat = errors.New("statesync: malformed frame")
 
-// decodeFrame parses one payload. It reads heads and delta straight out
+// decodeFrame parses one payload, a state frame's delta through the
+// dictionary it was encoded with. It reads heads and delta straight out
 // of b, and fails — never panics — on any input appendFrame could not
 // have produced.
-func decodeFrame(b []byte) (*frame, error) {
+func decodeFrame(b []byte, dict *crdt.StringDict) (*frame, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty payload", errFrameFormat)
 	}
-	if b[0] != wireVersion {
-		if b[0] == '{' {
-			return nil, fmt.Errorf("%w: peer sent a JSON frame; this build speaks binary wire version %d",
-				errFrameFormat, wireVersion)
-		}
-		return nil, fmt.Errorf("%w: peer speaks wire version %d, want %d", errFrameFormat, b[0], wireVersion)
-	}
+	f := &frame{Kind: frameKind(b[0])}
 	d := frameDecoder{b: b[1:]}
-	f := &frame{Kind: frameKind(d.byte())}
-	f.From = string(d.take(d.uvarint()))
-	heads, n, err := crdt.ReadVectors(d.b)
-	d.note(err, n)
-	delta, n, err := crdt.ReadComponents(d.b)
-	d.note(err, n)
-	f.Heads, f.Delta = heads, delta
+	switch f.Kind {
+	case frameHello:
+		if v := d.byte(); d.err == nil && v != wireVersion {
+			return nil, fmt.Errorf("%w: peer speaks wire version %d, want %d", errFrameFormat, v, wireVersion)
+		}
+		f.From = string(d.take(d.uvarint()))
+		heads, n, err := crdt.ReadVectors(d.b)
+		d.note(err, n)
+		f.Heads = heads
+	case frameState:
+		delta, n, err := crdt.ReadComponents(d.b, dict)
+		d.note(err, n)
+		f.Delta = delta
+	case frameHeartbeat:
+	default:
+		return f, nil
+	}
 	if d.err == nil && len(d.b) > 0 {
 		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
 	}
@@ -184,44 +210,55 @@ func (d *frameDecoder) take(n uint64) []byte {
 	return out
 }
 
-// maxFrameBytes bounds a frame to keep a misbehaving peer from forcing
-// unbounded allocation. It must stay below 1<<31 because the length
-// word's top bit is the compression flag.
+// maxFrameBytes bounds a frame's payload to keep a misbehaving peer
+// from forcing unbounded allocation.
 const maxFrameBytes = 64 << 20
 
-// frameCompressed marks a compressed payload in the length prefix. The
-// payload length of an uncompressed frame can never have this bit set
-// (maxFrameBytes < 1<<31). Each sender decides for itself whether to
-// compress; readFrame inflates any frame that carries the bit.
-const frameCompressed = 1 << 31
+// maxLenWord is the longest length word: the uvarint of
+// maxFrameBytes<<1 | 1 fits in four bytes.
+const maxLenWord = 4
 
 // putFrame encodes f as one wire blob — length word, then payload —
 // into eb, grown once to the size hint, and returns the blob (aliasing
-// eb).
-func putFrame(eb *crdt.EncodeBuffer, f *frame) ([]byte, error) {
-	if hint := 4 + frameSizeHint(f); cap(eb.B) < hint {
+// eb). The payload starts at eb.B[maxLenWord:], and the length word
+// sits right before it.
+func putFrame(eb *crdt.EncodeBuffer, f *frame, dict *crdt.StringDict) ([]byte, error) {
+	if hint := maxLenWord + frameSizeHint(f); cap(eb.B) < hint {
 		eb.B = make([]byte, 0, hint)
 	}
-	eb.B = appendFrame(append(eb.B[:0], 0, 0, 0, 0), f)
-	size := len(eb.B) - 4
-	if size > maxFrameBytes {
+	eb.B = appendFrame(append(eb.B[:0], 0, 0, 0, 0), f, dict)
+	if size := len(eb.B) - maxLenWord; size > maxFrameBytes {
 		return nil, fmt.Errorf("statesync: frame of %d bytes exceeds limit", size)
 	}
-	binary.BigEndian.PutUint32(eb.B, uint32(size))
-	return eb.B, nil
+	return prefixLenWord(eb.B, false), nil
 }
 
-// writeFrame encodes f as one length-prefixed write and returns the
-// bytes actually written — on a partial write the count reflects what
-// reached the wire, so traffic accounting stays truthful. Framing the
-// header and payload into a single Write also keeps a frame atomic with
-// respect to fault injection (a swallowed write loses a whole frame,
-// never half of one). Handshake frames use it directly; established
+// prefixLenWord writes the length word of the payload at
+// b[maxLenWord:] into the bytes right before it and returns the frame
+// from its first byte.
+func prefixLenWord(b []byte, compressed bool) []byte {
+	word := uint64(len(b)-maxLenWord) << 1
+	if compressed {
+		word |= 1
+	}
+	var arr [binary.MaxVarintLen64]byte
+	w := binary.AppendUvarint(arr[:0], word)
+	start := maxLenWord - len(w)
+	copy(b[start:], w)
+	return b[start:]
+}
+
+// writeFrame encodes f, without a dictionary, as one write and returns
+// the bytes actually written — on a partial write the count reflects
+// what reached the wire, so traffic accounting stays truthful. Framing
+// the length word and payload into a single Write also keeps a frame
+// atomic with respect to fault injection (a swallowed write loses a
+// whole frame, never half of one). Hellos use it directly; established
 // sessions write through a wireConn.
 func writeFrame(w io.Writer, f *frame) (int, error) {
 	eb := crdt.GetEncodeBuffer()
 	defer eb.Release()
-	blob, err := putFrame(eb, f)
+	blob, err := putFrame(eb, f, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -229,18 +266,22 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 }
 
 // readFrame reads one frame, transparently inflating compressed
-// payloads. The returned byte count is wire bytes (compressed size), so
-// traffic accounting reflects what actually crossed the network. The
-// payload is read into a pooled buffer: decodeFrame copies out every
-// string and byte slice, so the frame it returns aliases nothing.
-func readFrame(r io.Reader) (*frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// payloads, and decodes a state frame's delta through dict — the
+// reading direction's dictionary, nil before the hello is through. The
+// returned byte count is wire bytes (compressed size), so traffic
+// accounting reflects what actually crossed the network. The payload
+// is read into a pooled buffer: decodeFrame copies out every string
+// and byte slice, so the frame it returns aliases nothing.
+func readFrame(r io.Reader, dict *crdt.StringDict) (*frame, int, error) {
+	word, wn, err := readLenWord(r)
+	if err != nil {
 		return nil, 0, err
 	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	compressed := word&frameCompressed != 0
-	size := word &^ frameCompressed
+	if word == 0 {
+		return nil, 0, legacyPeerErr(r)
+	}
+	compressed := word&1 != 0
+	size := word >> 1
 	if size > maxFrameBytes {
 		return nil, 0, fmt.Errorf("statesync: frame of %d bytes exceeds limit", size)
 	}
@@ -267,11 +308,47 @@ func readFrame(r io.Reader) (*frame, int, error) {
 		}
 		payload = inflated
 	}
-	f, err := decodeFrame(payload)
+	f, err := decodeFrame(payload, dict)
 	if err != nil {
 		return nil, 0, err
 	}
-	return f, int(size) + 4, nil
+	return f, int(size) + wn, nil
+}
+
+// readLenWord reads a frame's length word and returns it with its size
+// in bytes.
+func readLenWord(r io.Reader) (uint64, int, error) {
+	var word uint64
+	var b [1]byte
+	for i := 0; i < maxLenWord; i++ {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, err
+		}
+		word |= uint64(b[0]&0x7f) << (7 * i)
+		if b[0] < 0x80 {
+			return word, i + 1, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: length word longer than %d bytes", errFrameFormat, maxLenWord)
+}
+
+// legacyPeerErr diagnoses a zero length word: the first byte of an
+// older peer's 4-byte big-endian one. It reads the word's other three
+// bytes and the payload's first, which names the peer's wire version
+// or, as '{', a JSON frame.
+func legacyPeerErr(r io.Reader) error {
+	var b [4]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return fmt.Errorf("%w: empty payload", errFrameFormat)
+	}
+	if b[3] == '{' {
+		return fmt.Errorf("%w: peer sent a JSON frame; this build speaks binary wire version %d",
+			errFrameFormat, wireVersion)
+	}
+	return fmt.Errorf("%w: peer speaks wire version %d, want %d", errFrameFormat, b[3], wireVersion)
 }
 
 // minCompressBytes is the smallest frame payload worth compressing:
@@ -285,31 +362,36 @@ const minCompressBytes = 512
 const maxFramesPerWrite = 32
 
 // wireConn is the write side of an established (post-hello)
-// connection. The session's pusher is its only writer, so fw and cbuf
-// (the reusable flate writer and its output buffer) need no lock.
+// connection. The session's pusher is its only writer, so dict, fw and
+// cbuf (the outbound dictionary, the reusable flate writer and its
+// output buffer) need no lock.
 type wireConn struct {
 	c net.Conn
 	// compress enables outbound compression of payloads of at least
 	// minCompressBytes.
 	compress bool
-	fw       *flate.Writer
-	cbuf     bytes.Buffer
+	// dict is the outbound direction's string dictionary. Every frame
+	// encoded through it must reach the peer in order, so a failed
+	// write ends the session.
+	dict crdt.StringDict
+	fw   *flate.Writer
+	cbuf bytes.Buffer
 }
 
 // encodeWireFrame serializes f into one wire blob (length word +
 // payload) in a pooled buffer, compressing when enabled and
-// worthwhile. The caller releases the buffer once the blob is written.
-// It reports whether the frame went out compressed.
-func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
+// worthwhile. It returns the buffer, which the caller releases once the
+// blob is written, the blob, and whether the frame went out compressed.
+func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, []byte, bool, error) {
 	eb := crdt.GetEncodeBuffer()
-	blob, err := putFrame(eb, f)
+	blob, err := putFrame(eb, f, &w.dict)
 	if err != nil {
 		eb.Release()
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	payload := blob[4:]
+	payload := eb.B[maxLenWord:]
 	if !w.compress || len(payload) < minCompressBytes {
-		return eb, false, nil
+		return eb, blob, false, nil
 	}
 	if w.fw == nil {
 		// BestSpeed: the goal is shipping fewer bytes per syscall on
@@ -319,12 +401,11 @@ func (w *wireConn) encodeWireFrame(f *frame) (*crdt.EncodeBuffer, bool, error) {
 	w.cbuf.Reset()
 	w.fw.Reset(&w.cbuf)
 	if _, err := w.fw.Write(payload); err != nil || w.fw.Close() != nil || w.cbuf.Len() >= len(payload) {
-		return eb, false, nil
+		return eb, blob, false, nil
 	}
 	// Smaller than the payload, so it overwrites it in place.
-	eb.B = append(eb.B[:4], w.cbuf.Bytes()...)
-	binary.BigEndian.PutUint32(eb.B, uint32(w.cbuf.Len())|frameCompressed)
-	return eb, true, nil
+	eb.B = append(eb.B[:maxLenWord], w.cbuf.Bytes()...)
+	return eb, prefixLenWord(eb.B, true), true, nil
 }
 
 // writeFrames ships the given frames in one vectored write (writev on a
@@ -343,35 +424,36 @@ func (w *wireConn) writeFrames(credit func(n, frames, compressed int), frames ..
 		}
 	}()
 	bufs := make(net.Buffers, 0, len(frames))
+	sizes := make([]int, 0, len(frames))
 	comps := make([]bool, 0, len(frames))
 	total, totalComp := 0, 0
 	for _, f := range frames {
-		eb, comp, err := w.encodeWireFrame(f)
+		eb, blob, comp, err := w.encodeWireFrame(f)
 		if err != nil {
 			return err
 		}
 		ebufs = append(ebufs, eb)
-		bufs = append(bufs, eb.B)
+		bufs = append(bufs, blob)
+		sizes = append(sizes, len(blob))
 		comps = append(comps, comp)
-		total += len(eb.B)
+		total += len(blob)
 		if comp {
 			totalComp++
 		}
 	}
 	credit(total, len(frames), totalComp)
-	// WriteTo consumes bufs, so frame attribution works off the encode
-	// buffers.
+	// WriteTo consumes bufs, so frame attribution works off the sizes.
 	n, err := bufs.WriteTo(w.c)
 	if err == nil {
 		return nil
 	}
 	sent, compressed := 0, 0
 	rem := int(n)
-	for i, eb := range ebufs {
-		if rem < len(eb.B) {
+	for i, size := range sizes {
+		if rem < size {
 			break
 		}
-		rem -= len(eb.B)
+		rem -= size
 		sent++
 		if comps[i] {
 			compressed++

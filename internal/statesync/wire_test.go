@@ -97,11 +97,11 @@ func TestWriteFramesPartialWriteAccounting(t *testing.T) {
 	sizer := &wireConn{}
 	var sizes []int
 	for _, f := range frames {
-		eb, _, err := sizer.encodeWireFrame(f)
+		eb, blob, _, err := sizer.encodeWireFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, len(eb.B))
+		sizes = append(sizes, len(blob))
 		eb.Release()
 	}
 	total := sizes[0] + sizes[1] + sizes[2]
