@@ -102,7 +102,7 @@ func benchReadSweepCell(subj workload.Subject, workers int, readRatio float64, b
 		return rwRow{}, err
 	}
 	server := cluster.NewServer("edge0", cluster.NewNode(simclock.New(), cluster.RPi4Spec), app)
-	server.ReadOnly = app.RequestReadOnly
+	server.ReadOnly = app.MatchReadOnly
 	reads, writes := rwRequestPools(subj, 8)
 	// Warm the store so read services have fixed data to chew on.
 	for _, req := range writes {
@@ -281,7 +281,8 @@ func serviceByPath(subj workload.Subject, path string) (int, error) {
 // it the interpreter-bound service class the paper targets. The
 // db-bound rows (summary, notes, bookworm) bound the other end, where
 // the interpreter is a small fraction of the request and the two
-// evaluators converge.
+// evaluators converge; bookworm /books/:id is the point read an edge
+// serves most.
 func runBenchServe(outPath string) error {
 	rep := serveReport{Provenance: provenance.Current()}
 
@@ -293,6 +294,7 @@ func runBenchServe(outPath string) error {
 		{"sensor-hub", "/summary"},
 		{"notes", ""},
 		{"bookworm", ""},
+		{"bookworm", "/books/:id"},
 	}
 	for _, tc := range cases {
 		subj, err := workload.ByName(tc.subject)

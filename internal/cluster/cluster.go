@@ -11,6 +11,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,11 +170,13 @@ type Server struct {
 	// transport installs the endpoint's RDo here, so reads share the
 	// transport lock with each other while still excluding writers.
 	WrapRead func(func())
-	// ReadOnly classifies a request as safe for the concurrent read
-	// path (typically App.RequestReadOnly, driven by the analysis
-	// pipeline's state-use facts). When nil every invocation takes the
-	// serialized write path — exactly the pre-scheduler behavior.
-	ReadOnly func(*httpapp.Request) bool
+	// ReadOnly classifies a request, with the route the app resolved for
+	// it, as safe for the concurrent read path (typically
+	// App.MatchReadOnly, driven by the analysis pipeline's state-use
+	// facts). Requests that match no route take the write path, which
+	// reports them. When nil every invocation takes the serialized write
+	// path — exactly the pre-scheduler behavior.
+	ReadOnly func(*httpapp.Request, *httpapp.Match) bool
 
 	// rwRead/rwWrite/rwMispredict count scheduler outcomes: invocations
 	// served on the shared read path, on the exclusive write path, and
@@ -230,40 +233,68 @@ func (s *Server) RWStats() (read, write, mispredict int64) {
 // response and state transitions are identical to a fully serialized
 // execution.
 func (s *Server) Invoke(req *httpapp.Request) (*httpapp.Response, float64, error) {
-	if s.ReadOnly != nil && s.ReadOnly(req) {
-		var resp *httpapp.Response
-		var ops float64
-		var err error
-		read := func() { resp, ops, err = s.App.InvokeRead(req) }
+	iv := invocations.Get().(*invocation)
+	iv.s, iv.req = s, req
+	routed := s.App.Resolve(req, &iv.m) == nil
+	if routed && s.ReadOnly != nil && s.ReadOnly(req, &iv.m) {
 		if s.WrapRead != nil {
-			s.WrapRead(read)
+			s.WrapRead(iv.read)
 		} else {
-			read()
+			iv.read()
 		}
-		if err == nil || !errors.Is(err, httpapp.ErrWriteGuard) {
+		if iv.err == nil || !errors.Is(iv.err, httpapp.ErrWriteGuard) {
 			s.rwRead.Add(1)
 			s.readCounter.Add(1)
-			return resp, ops, err
+			return iv.finish()
 		}
 		s.rwMispredict.Add(1)
 		s.mispredictCounter.Add(1)
 	}
-	var resp *httpapp.Response
-	var ops float64
-	var err error
-	invoke := func() {
-		resp, ops, err = s.App.Invoke(req)
-		if err == nil && s.AfterInvoke != nil {
-			s.AfterInvoke()
-		}
-	}
 	if s.WrapInvoke != nil {
-		s.WrapInvoke(invoke)
+		s.WrapInvoke(iv.write)
 	} else {
-		invoke()
+		iv.write()
 	}
 	s.rwWrite.Add(1)
 	s.writeCounter.Add(1)
+	return iv.finish()
+}
+
+// invocation carries one request through WrapRead or WrapInvoke: the
+// route resolved once, and the outcome. Its read and write funcs are
+// bound when the pool makes it, so a request allocates no closure. The
+// handler never sees it: App builds the handler's req and res afresh.
+type invocation struct {
+	s    *Server
+	req  *httpapp.Request
+	m    httpapp.Match
+	resp *httpapp.Response
+	ops  float64
+	err  error
+
+	read, write func()
+}
+
+var invocations = sync.Pool{New: func() any {
+	iv := new(invocation)
+	iv.read = func() { iv.resp, iv.ops, iv.err = iv.s.App.InvokeReadMatch(iv.req, &iv.m) }
+	iv.write = func() {
+		// An unresolved match fails here with ErrNoRoute, as Invoke
+		// would.
+		iv.resp, iv.ops, iv.err = iv.s.App.InvokeMatch(iv.req, &iv.m)
+		if iv.err == nil && iv.s.AfterInvoke != nil {
+			iv.s.AfterInvoke()
+		}
+	}
+	return iv
+}}
+
+// finish returns the outcome and puts iv back, holding nothing of the
+// request.
+func (iv *invocation) finish() (*httpapp.Response, float64, error) {
+	resp, ops, err := iv.resp, iv.ops, iv.err
+	*iv = invocation{read: iv.read, write: iv.write}
+	invocations.Put(iv)
 	return resp, ops, err
 }
 

@@ -28,7 +28,7 @@ func stat(req any, res any) any {
 
 var statRoutes = []httpapp.Route{{Method: "GET", Path: "/stat", Handler: "stat"}}
 
-func newStatServer(t testing.TB, readOnly func(*httpapp.Request) bool) *Server {
+func newStatServer(t testing.TB, readOnly func(*httpapp.Request, *httpapp.Match) bool) *Server {
 	t.Helper()
 	app, err := httpapp.New("stat", statSrc, statRoutes)
 	if err != nil {
@@ -50,7 +50,7 @@ func statReq(mode string) *httpapp.Request {
 func TestSchedulerMispredictFallback(t *testing.T) {
 	// Misclassify everything as read-only: writes must abort on the
 	// guard and re-run exactly once on the exclusive path.
-	srv := newStatServer(t, func(*httpapp.Request) bool { return true })
+	srv := newStatServer(t, func(*httpapp.Request, *httpapp.Match) bool { return true })
 	resp, _, err := srv.Invoke(statReq("write"))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSchedulerDifferentialAgainstSerialized(t *testing.T) {
 	// scheduler server (with a deliberately wrong classifier) must yield
 	// byte-identical responses at every step.
 	serialized := newStatServer(t, nil)
-	scheduled := newStatServer(t, func(*httpapp.Request) bool { return true })
+	scheduled := newStatServer(t, func(*httpapp.Request, *httpapp.Match) bool { return true })
 	seq := []string{"", "write", "", "write", "write", "", ""}
 	for i, mode := range seq {
 		r1, c1, err1 := serialized.Invoke(statReq(mode))
@@ -104,7 +104,7 @@ func TestSchedulerConcurrentMispredicts(t *testing.T) {
 	// exactly equal to the number of writes. The app's RWMutex is the
 	// only coordination — run under -race this is the satellite's
 	// correctness sweep.
-	srv := newStatServer(t, func(*httpapp.Request) bool { return true })
+	srv := newStatServer(t, func(*httpapp.Request, *httpapp.Match) bool { return true })
 	const writers, readers, perWorker = 4, 4, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+readers)

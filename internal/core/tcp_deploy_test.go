@@ -56,6 +56,10 @@ func TestDeployTCPTransportConverges(t *testing.T) {
 	if !d.Converged() {
 		t.Fatal("no convergence over the TCP transport")
 	}
+	// SettleSync polls the heads first: settled replicas hold the same.
+	if !d.headsMatch() {
+		t.Fatal("settled replicas report unequal heads")
+	}
 	// The cloud's live database received the edge writes through the
 	// socket path, not the virtual-time manager.
 	var rows int

@@ -327,6 +327,7 @@ func TestMatchPath(t *testing.T) {
 		{"/a/b", "/a//b", false, nil},
 		{"/x/:id", "/x/a:b", true, map[string]string{"id": "a:b"}},
 		{"/:", "/v", true, map[string]string{"": "v"}},
+		{"/:a/:b/:c/:d/:e/:a", "/1/2/3/4/5/6", true, map[string]string{"a": "6", "b": "2", "c": "3", "d": "4", "e": "5"}},
 	}
 	for _, c := range cases {
 		params, ok := matchPath(c.pattern, c.path)

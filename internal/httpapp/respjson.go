@@ -104,6 +104,11 @@ func appendString(b []byte, s string) ([]byte, error) {
 // round-trip digits, in exponent form below 1e-6 and from 1e21 up, with
 // a single-digit negative exponent unpadded (1e-7, not 1e-07).
 func appendFloat(b []byte, f float64) []byte {
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		// An integer below 2^53 has the same digits either way, without
+		// the shortest-digits search; -0 keeps its sign below.
+		return strconv.AppendInt(b, i, 10)
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

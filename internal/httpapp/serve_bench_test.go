@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/httpapp"
-	"repro/internal/workload"
 )
 
 // BenchmarkServeRead serves GET /books/:id on the bookworm app with 500
@@ -15,17 +14,7 @@ import (
 // response.
 func BenchmarkServeRead(b *testing.B) {
 	const books = 500
-	sub := workload.Bookworm()
-	app, err := httpapp.New(sub.Name, sub.Source, sub.Routes())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for id := 6; id <= books; id++ {
-		if _, err := app.DB().Exec("INSERT INTO books (id, title, author, stock, loans) VALUES (?, ?, ?, ?, 0)",
-			id, fmt.Sprintf("Book %d", id), fmt.Sprintf("Author %d", id%37), 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
+	app := newBookworm(b, books)
 	reqs := make([]*httpapp.Request, books)
 	for i := range reqs {
 		reqs[i] = &httpapp.Request{Method: "GET", Path: fmt.Sprintf("/books/%d", i+1)}
@@ -34,6 +23,29 @@ func BenchmarkServeRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := reqs[i%books]
+		if !app.RequestReadOnly(req) {
+			b.Fatalf("%s %s is not classified read-only", req.Method, req.Path)
+		}
+		resp, _, err := app.InvokeRead(req)
+		if err != nil || resp.Status != http.StatusOK || len(resp.Body) == 0 {
+			b.Fatalf("%s: status %d, %v", req.Path, resp.Status, err)
+		}
+	}
+}
+
+// BenchmarkServePopular serves GET /popular on the same 500 books, whose
+// loan counts spread over 0..100 with ties: SELECT title, loans ... ORDER
+// BY loans DESC LIMIT 3 scans every row and keeps the top three.
+func BenchmarkServePopular(b *testing.B) {
+	const books = 500
+	app := newBookworm(b, books)
+	if _, err := app.DB().Exec("UPDATE books SET loans = (id * 37) % 101"); err != nil {
+		b.Fatal(err)
+	}
+	req := &httpapp.Request{Method: "GET", Path: "/popular"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if !app.RequestReadOnly(req) {
 			b.Fatalf("%s %s is not classified read-only", req.Method, req.Path)
 		}

@@ -1110,7 +1110,9 @@ func (in *Interp) evalSelector(e *env, x *ast.SelectorExpr) (any, error) {
 	return selectValue(base, x.Sel.Name)
 }
 
-// selectValue reads base.name; shared by tree-walker and VM.
+// selectValue reads base.name; shared by tree-walker and VM. A method
+// of an object with a receiver is returned bound to it, so the value
+// calls the method on that object wherever it is called from.
 func selectValue(base any, name string) (any, error) {
 	switch b := base.(type) {
 	case map[string]any:
@@ -1119,6 +1121,12 @@ func selectValue(base any, name string) (any, error) {
 		m, ok := b.Methods[name]
 		if !ok {
 			return nil, fmt.Errorf("script: object %s has no method %q", b.Name, name)
+		}
+		if recv := b.Recv; recv != nil {
+			return Builtin(func(c *Call) (any, error) {
+				c.Recv = recv
+				return m(c)
+			}), nil
 		}
 		return m, nil
 	default:
@@ -1209,7 +1217,7 @@ func (in *Interp) evalCall(e *env, x *ast.CallExpr) (any, error) {
 		// Local binding holding a builtin wins over declarations.
 		if v, ok := e.get(name); ok {
 			if bf, isB := v.(Builtin); isB {
-				result, err = in.callBuiltin(bf, args)
+				result, err = in.callBuiltin(bf, nil, args)
 				break
 			}
 		}
@@ -1240,7 +1248,7 @@ func (in *Interp) evalCall(e *env, x *ast.CallExpr) (any, error) {
 			return nil, fmt.Errorf("script: object %s has no method %q", obj.Name, callee.Sel.Name)
 		}
 		name = obj.Name + "." + callee.Sel.Name
-		result, err = in.callBuiltin(m, args)
+		result, err = in.callBuiltin(m, obj.Recv, args)
 	default:
 		releaseArgs()
 		return nil, fmt.Errorf("script: unsupported call target %T", x.Fun)
@@ -1255,20 +1263,21 @@ func (in *Interp) evalCall(e *env, x *ast.CallExpr) (any, error) {
 	return result, nil
 }
 
-// callBuiltin invokes a native function through a pooled Call header.
-// Builtins must treat c.Args as borrowed: the slice (and the *Call) are
-// reused for the next invocation as soon as the builtin returns.
-func (in *Interp) callBuiltin(bf Builtin, args []any) (any, error) {
+// callBuiltin invokes a native function through a pooled Call header,
+// with recv as its Call.Recv. Builtins must treat c.Args as borrowed:
+// the slice (and the *Call) are reused for the next invocation as soon
+// as the builtin returns.
+func (in *Interp) callBuiltin(bf Builtin, recv any, args []any) (any, error) {
 	var c *Call
 	if n := len(in.callFree); n > 0 {
 		c = in.callFree[n-1]
 		in.callFree = in.callFree[:n-1]
-		c.Args = args
+		c.Args, c.Recv = args, recv
 	} else {
-		c = &Call{Args: args, Interp: in}
+		c = &Call{Args: args, Interp: in, Recv: recv}
 	}
 	res, err := bf(c)
-	c.Args = nil
+	c.Args, c.Recv = nil, nil
 	in.callFree = append(in.callFree, c)
 	return res, err
 }

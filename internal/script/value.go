@@ -46,6 +46,10 @@ type Call struct {
 	// Interp is the running interpreter; builtins may use it to add
 	// metered compute cost or reach registered state.
 	Interp *Interp
+	// Recv is the Recv of the Object whose method is running (nil for a
+	// plain builtin). It lets one method table serve many objects, each
+	// method reading its own object's state through Recv.
+	Recv any
 }
 
 // Arg returns the i-th argument or nil.
@@ -73,8 +77,11 @@ type Builtin func(c *Call) (any, error)
 type Object struct {
 	// Name identifies the object in hook events and error messages.
 	Name string
-	// Methods maps method name to implementation.
+	// Methods maps method name to implementation. Objects of one kind
+	// may share a table and keep their own state in Recv.
 	Methods map[string]Builtin
+	// Recv is passed to every method call on this object as Call.Recv.
+	Recv any
 }
 
 // NewObject returns a named object with the given method table.

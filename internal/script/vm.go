@@ -395,7 +395,7 @@ func (in *Interp) vmOpCall(m *machine, comp *progComp, ins instr, bp int) (any, 
 	}
 	if bound {
 		if bf, ok := v.(Builtin); ok {
-			return in.vmBuiltin(m, bf, "", comp.grefs[ins.a], nargs)
+			return in.vmBuiltin(m, bf, nil, "", comp.grefs[ins.a], nargs)
 		}
 	}
 	if cf := comp.grefCfs[ins.a]; cf != nil {
@@ -436,14 +436,15 @@ func (in *Interp) vmOpCallMethod(m *machine, comp *progComp, ins instr) (any, er
 		m.sp -= int(ins.b)
 		return nil, fmt.Errorf("script: object %s has no method %q", obj.Name, sel)
 	}
-	return in.vmBuiltin(m, bf, obj.Name, sel, int(ins.b))
+	return in.vmBuiltin(m, bf, obj.Recv, obj.Name, sel, int(ins.b))
 }
 
-// vmBuiltin invokes a native function on the top nargs stack values.
-// Without an Invoke hook the builtin sees the stack window directly
-// (zero-copy; builtins must not retain c.Args); with a hook installed
-// the arguments are copied, because the analysis trace retains them.
-func (in *Interp) vmBuiltin(m *machine, bf Builtin, objName, sel string, nargs int) (any, error) {
+// vmBuiltin invokes a native function, with receiver recv, on the top
+// nargs stack values. Without an Invoke hook the builtin sees the stack
+// window directly (zero-copy; builtins must not retain c.Args); with a
+// hook installed the arguments are copied, because the analysis trace
+// retains them.
+func (in *Interp) vmBuiltin(m *machine, bf Builtin, recv any, objName, sel string, nargs int) (any, error) {
 	args := m.stack[m.sp-nargs : m.sp]
 	var hargs []any
 	if in.hooks.Invoke != nil {
@@ -451,7 +452,7 @@ func (in *Interp) vmBuiltin(m *machine, bf Builtin, objName, sel string, nargs i
 		copy(hargs, args)
 		args = hargs
 	}
-	res, err := in.callBuiltin(bf, args)
+	res, err := in.callBuiltin(bf, recv, args)
 	m.sp -= nargs
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", callName(objName, sel), err)

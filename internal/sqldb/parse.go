@@ -149,6 +149,12 @@ type selectStmt struct {
 	orderBy  string
 	orderDsc bool
 	limit    int // -1 = no limit
+	// aggregate is set when an item is an aggregate call, and star when
+	// an item is *. Without a star, cols holds the result column names,
+	// which then depend on the statement alone.
+	aggregate bool
+	star      bool
+	cols      []string
 }
 
 type updateStmt struct {
@@ -488,6 +494,13 @@ func (p *parser) parseSelect() (stmt, error) {
 		s.limit = n
 	}
 	s.params = p.nparams
+	s.aggregate = isAggregate(s)
+	for _, item := range s.items {
+		s.star = s.star || item.star
+	}
+	if !s.star {
+		s.cols = selectCols(s, nil)
+	}
 	return s, nil
 }
 

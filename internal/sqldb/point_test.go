@@ -195,7 +195,7 @@ func TestPointLookupIsTaken(t *testing.T) {
 		{"SELECT * FROM t WHERE v = ?", []any{int64(7)}, "", false, false},
 	}
 	for _, c := range cases {
-		key, found, exact := tbl.lookup(where(c.q), c.args)
+		key, found, exact := tbl.lookupKey(where(c.q), c.args)
 		if key != c.key || found != c.found || exact != c.exac {
 			t.Errorf("%s %v: lookup = (%q, %v, %v), want (%q, %v, %v)",
 				c.q, c.args, key, found, exact, c.key, c.found, c.exac)
@@ -210,27 +210,27 @@ func TestPointLookupIsTaken(t *testing.T) {
 	if tbl.drift != 0 {
 		t.Fatalf("drift = %d after a replicated 2e6 key, want 0", tbl.drift)
 	}
-	if key, found, exact := tbl.lookup(where("SELECT * FROM t WHERE id = 2000000"), nil); key != "2000000" || !found || !exact {
+	if key, found, exact := tbl.lookupKey(where("SELECT * FROM t WHERE id = 2000000"), nil); key != "2000000" || !found || !exact {
 		t.Fatalf("lookup of a replicated 2e6 key = (%q, %v, %v)", key, found, exact)
 	}
 	if err := db.PutRow("t", "1e+06", map[string]any{"id": 1e6, "v": int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, exact := tbl.lookup(where("SELECT * FROM t WHERE id = 1000000"), nil); exact {
+	if _, _, exact := tbl.lookupKey(where("SELECT * FROM t WHERE id = 1000000"), nil); exact {
 		t.Fatal("lookup exact with two rows holding key value 1e6")
 	}
 	db.RemoveRow("t", "1e+06")
 	// Rewriting a key column breaks the key ↔ value correspondence: the
 	// table falls back to scans until the row is gone.
 	mustExec(t, db, "UPDATE t SET id = 100 WHERE id = 2")
-	if _, _, exact := tbl.lookup(where("SELECT * FROM t WHERE id = 7"), nil); exact {
+	if _, _, exact := tbl.lookupKey(where("SELECT * FROM t WHERE id = 7"), nil); exact {
 		t.Fatal("lookup still exact after a key-column rewrite")
 	}
 	if res := mustExec(t, db, "SELECT v FROM t WHERE id = 100"); len(res.Rows) != 1 || res.Rows[0]["v"] != int64(2) {
 		t.Fatalf("rewritten row = %v", res.Rows)
 	}
 	mustExec(t, db, "DELETE FROM t WHERE id = 100")
-	if _, _, exact := tbl.lookup(where("SELECT * FROM t WHERE id = 7"), nil); !exact {
+	if _, _, exact := tbl.lookupKey(where("SELECT * FROM t WHERE id = 7"), nil); !exact {
 		t.Fatal("lookup still disabled after the rewritten row was deleted")
 	}
 }
@@ -252,7 +252,7 @@ func TestPointLookupInTransaction(t *testing.T) {
 	if res := mustExec(t, db, "SELECT title FROM books WHERE id = 3"); len(res.Rows) != 1 {
 		t.Fatalf("rolled-back key rewrite still visible: %v", res.Rows)
 	}
-	if _, _, exact := db.tables["books"].lookup(&binExpr{op: "=", l: &colExpr{"id"}, r: &litExpr{int64(3)}}, nil); !exact {
+	if _, _, exact := db.tables["books"].lookupKey(&binExpr{op: "=", l: &colExpr{"id"}, r: &litExpr{int64(3)}}, nil); !exact {
 		t.Fatal("rollback did not restore the table's drift count")
 	}
 }
@@ -379,4 +379,14 @@ func TestKeyScopeMintsDistinctKeys(t *testing.T) {
 	if n, _ := db.RowCount("log"); n != 5 {
 		t.Fatalf("log rows = %d, want 5", n)
 	}
+}
+
+// lookupKey is lookup with the found key spelled out.
+func (t *tableData) lookupKey(where expr, args []any) (key string, found, exact bool) {
+	var ps probeSet
+	i, found, exact := t.lookup(where, args, &ps)
+	if found {
+		key = ps.key(i)
+	}
+	return key, found, exact
 }

@@ -60,7 +60,8 @@ func (r Row) clone() Row {
 
 // Result is the outcome of executing one statement.
 type Result struct {
-	// Cols lists result column names for SELECT.
+	// Cols lists result column names for SELECT. It is shared with
+	// other results and must not be modified.
 	Cols []string
 	// Rows holds the result set for SELECT.
 	Rows []Row
@@ -119,7 +120,8 @@ type colDef struct {
 type tableData struct {
 	name     string
 	cols     []colDef
-	pkCol    string // "" means synthetic row IDs
+	colNames []string // the names of cols, shared by SELECT * results
+	pkCol    string   // "" means synthetic row IDs
 	rows     map[string]Row
 	keyOrder []string
 	nextID   int64
@@ -152,20 +154,11 @@ func (t *tableData) drifted(key string, row Row) bool {
 		return false
 	}
 	v := row[t.pkCol]
-	if keyString(v) == key {
+	var ps probeSet
+	if ps.fill(v) && ps.has(key) {
 		return false
 	}
-	var buf [4]string
-	keys, ok := probeKeys(v, buf[:0])
-	if !ok {
-		return true
-	}
-	for _, k := range keys {
-		if k == key {
-			return false
-		}
-	}
-	return true
+	return keyString(v) != key
 }
 
 // removeKey drops key from the table's row order.
@@ -182,6 +175,7 @@ func (t *tableData) clone() *tableData {
 	c := &tableData{
 		name:     t.name,
 		cols:     append([]colDef(nil), t.cols...),
+		colNames: t.colNames,
 		pkCol:    t.pkCol,
 		rows:     make(map[string]Row, len(t.rows)),
 		keyOrder: append([]string(nil), t.keyOrder...),
@@ -446,18 +440,7 @@ func (db *DB) RemoveRow(table, key string) {
 // pre-transaction state parked in txSnap), never emit mutations, and
 // build fresh result rows — so concurrent selects are safe.
 func (db *DB) Exec(query string, args ...any) (*Result, error) {
-	stmt, err := db.stmts.get(query)
-	if err != nil {
-		return nil, err
-	}
-	if s, ok := stmt.(*selectStmt); ok {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.execReadStmt(s, args)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.execStmt(stmt, args)
+	return db.exec(query, args, false, false)
 }
 
 // ExecReadOnly executes a statement that must not mutate state; any
@@ -465,17 +448,38 @@ func (db *DB) Exec(query string, args ...any) (*Result, error) {
 // the database. Write-guarded (read-only) service invocations route
 // their db calls through it.
 func (db *DB) ExecReadOnly(query string, args ...any) (*Result, error) {
+	return db.exec(query, args, true, false)
+}
+
+// ExecFloat executes a statement as ExecReadOnly does when readOnly is
+// set, and as Exec does otherwise, but delivers every int64 of a
+// SELECT's result as a float64. A caller whose values have one number
+// type gets its rows converted as they are built instead of walking
+// them again.
+func (db *DB) ExecFloat(query string, readOnly bool, args ...any) (*Result, error) {
+	return db.exec(query, args, readOnly, true)
+}
+
+func (db *DB) exec(query string, args []any, readOnly, floats bool) (*Result, error) {
 	stmt, err := db.stmts.get(query)
 	if err != nil {
 		return nil, err
 	}
 	s, ok := stmt.(*selectStmt)
-	if !ok {
+	if ok {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		if want := s.nparams(); want != len(args) {
+			return nil, fmt.Errorf("sqldb: statement has %d placeholders, got %d args", want, len(args))
+		}
+		return db.execSelect(s, args, floats)
+	}
+	if readOnly {
 		return nil, fmt.Errorf("%w: %s", ErrMutation, firstKeyword(query))
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.execReadStmt(s, args)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.execStmt(stmt, args)
 }
 
 // IsReadOnlyQuery reports whether query parses as a SELECT. The static
@@ -499,15 +503,6 @@ func firstKeyword(query string) string {
 	return strings.ToUpper(fields[0])
 }
 
-// execReadStmt runs a SELECT under the shared lock, replicating
-// execStmt's placeholder check.
-func (db *DB) execReadStmt(s *selectStmt, args []any) (*Result, error) {
-	if want := s.nparams(); want != len(args) {
-		return nil, fmt.Errorf("sqldb: statement has %d placeholders, got %d args", want, len(args))
-	}
-	return db.execSelect(s, args)
-}
-
 // InTransaction reports whether a transaction is active.
 func (db *DB) InTransaction() bool {
 	db.mu.Lock()
@@ -525,7 +520,7 @@ func (db *DB) execStmt(st stmt, args []any) (*Result, error) {
 	case *insertStmt:
 		return db.execInsert(s, args)
 	case *selectStmt:
-		return db.execSelect(s, args)
+		return db.execSelect(s, args, false)
 	case *updateStmt:
 		return db.execUpdate(s, args)
 	case *deleteStmt:
@@ -602,9 +597,9 @@ func (db *DB) execCreate(s *createStmt) (*Result, error) {
 		rows: make(map[string]Row),
 	}
 	for _, c := range s.cols {
-		if c.pk {
+		t.colNames = append(t.colNames, c.name)
+		if c.pk && t.pkCol == "" {
 			t.pkCol = c.name
-			break
 		}
 	}
 	db.tables[s.table] = t
