@@ -20,15 +20,25 @@ import (
 // decoder for the old one, or existing data directories stop
 // recovering.
 //
-// Layout (version 2, written), all integers unsigned varints unless
+// Layout (version 3, written), all integers unsigned varints unless
 // noted:
 //
-//	changes   := version(1B=2) count dstring(actor)* count change*
+//	changes   := version(1B=3) count dstring(actor)* count change*
 //	             — the actor table: each distinct actor of the record
 //	               once, in first-appearance order; below, actor means
 //	               an index into it
 //	change    := actor uvarint(seq) deps string(msg) count op*
-//	deps      := count (actor uvarint(seq))*   — in actor-table order
+//	deps      := uvarint(n<<2 | own<<1 | stream) (actor uvarint(seq))^n
+//	             — the n listed entries, in actor-table order. own: the
+//	               author's own entry is seq−1 and not listed. stream:
+//	               the vector is the stream's last one for the author
+//	               (dict.go) with the listed entries set over it, and
+//	               only entries that differ from it are listed; an
+//	               encoder sets it only when every actor of that vector
+//	               is still a dependency. Without a stream (the WAL)
+//	               stream is never set, and a record with it fails to
+//	               decode, as does one whose author the stream's memory
+//	               does not hold
 //	op        := byte(head) [uvarint(type)] [uvarint(ts.counter)]
 //	             [actor(ts)] ref(obj) dstring(key) ref(elem) value
 //	             [uvarint(kind)] [varint(delta — zigzag)]
@@ -56,8 +66,13 @@ import (
 //	vector    := version(1B) vv
 //	vv        := count (string(actor) uvarint(seq))*   — actors sorted
 //
-// Layout (version 1, still decoded: WAL records written before version
-// 2 must recover):
+// Layout (version 2, still decoded: WAL records written before version
+// 3 must recover): version 3's, with version byte 2 and
+//
+//	deps      := count (actor uvarint(seq))*   — every entry, in
+//	             actor-table order
+//
+// Layout (version 1, still decoded):
 //
 //	changes   := version(1B=1) count change*
 //	change    := string(actor) uvarint(seq) vv string(msg) count op*
@@ -68,21 +83,26 @@ import (
 //	             payload: str/obj → string; num → 8B LE float bits;
 //	             bool → 1B; bytes → bytes; null/zero → empty
 //
-// The version-vector layout is the same in both versions.
+// The version-vector layout is the same in every version.
 //
 // Determinism: version-vector actors are emitted in sorted order, the
-// actor table in first-appearance order (a change's new dependency
-// actors in sorted order), and dependencies in table order, so equal
-// inputs always produce identical bytes (the golden tests depend on
-// this).
+// actor table in first-appearance order (a change's new listed
+// dependency actors in sorted order), and dependencies in table order,
+// so equal inputs — and, through a stream, equal streams — always
+// produce identical bytes (the golden tests depend on this).
 
 // BinaryFormatVersion is the on-disk/on-wire format version the encoder
-// writes. Decoders accept it and binaryFormatV1; bump it together with
-// a decoder for the old layout when the layout changes.
-const BinaryFormatVersion byte = 2
+// writes. Decoders accept it, binaryFormatV2 and binaryFormatV1; bump
+// it together with a decoder for the old layout when the layout
+// changes.
+const BinaryFormatVersion byte = 3
 
-// binaryFormatV1 is the previous layout, which decoders still read.
-const binaryFormatV1 byte = 1
+// binaryFormatV2 and binaryFormatV1 are the previous layouts, which
+// decoders still read.
+const (
+	binaryFormatV2 byte = 2
+	binaryFormatV1 byte = 1
+)
 
 // Version-2 op head flags and the escaped-type marker (see the layout).
 const (
@@ -113,7 +133,7 @@ type UnsupportedVersionError struct {
 }
 
 func (e *UnsupportedVersionError) Error() string {
-	return fmt.Sprintf("%v: unsupported format version %d (want %d or %d)",
+	return fmt.Sprintf("%v: unsupported format version %d (want %d to %d)",
 		ErrBinaryFormat, e.Version, binaryFormatV1, BinaryFormatVersion)
 }
 
@@ -269,8 +289,10 @@ type actorTable struct {
 	more   []ActorID
 	index  map[ActorID]uint64
 	// dict, when set, is the stream dictionary the record's strings
-	// go through (dict.go).
+	// and dependencies go through (dict.go), and view collect's look at
+	// its dependency memory.
 	dict *StringDict
+	view depsView
 }
 
 const maxScanActors = 16
@@ -319,16 +341,26 @@ func (t *actorTable) addRef(s string) {
 	}
 }
 
-// collect adds ch's actors in the order appendChange writes them.
-func (t *actorTable) collect(ch *Change) {
+// collect adds ch's actors in the order appendChange writes them: of
+// its dependencies, only the listed ones, as the stream's memory will
+// stand when appendChange writes ch. No later change of the record
+// sees the last one's vector, so the view need not remember it.
+func (t *actorTable) collect(ch *Change, last bool) {
 	t.add(ch.Actor)
-	if t.newDeps(ch.Deps) {
+	base, ok := t.view.base(ch.Actor)
+	p := planDeps(ch, base, ok)
+	if t.newDeps(ch, p) {
 		// New dependency actors join in sorted order, so the table does
 		// not depend on map iteration order.
 		var arr [16]ActorID
 		for _, a := range sortedActors(ch.Deps, arr[:0]) {
-			t.add(a)
+			if p.listed(ch, a, ch.Deps[a]) {
+				t.add(a)
+			}
 		}
+	}
+	if !last {
+		t.view.remember(ch.Actor, ch.Deps)
 	}
 	for i := range ch.Ops {
 		op := &ch.Ops[i]
@@ -341,17 +373,14 @@ func (t *actorTable) collect(ch *Change) {
 	}
 }
 
-// newDeps reports whether deps names an actor the table lacks. It
-// probes deps with the table's actors rather than iterating the map:
-// a record's changes mostly depend on actors it already named.
-func (t *actorTable) newDeps(deps VersionVector) bool {
-	known := 0
-	t.each(func(_ uint64, a ActorID) {
-		if _, ok := deps[a]; ok {
-			known++
+// newDeps reports whether ch lists a dependency actor the table lacks.
+func (t *actorTable) newDeps(ch *Change, p depsPlan) bool {
+	for a, seq := range ch.Deps {
+		if _, ok := t.find(a); !ok && p.listed(ch, a, seq) {
+			return true
 		}
-	})
-	return known < len(deps)
+	}
+	return false
 }
 
 // each calls fn with every actor in table order.
@@ -367,21 +396,122 @@ func (t *actorTable) each(fn func(uint64, ActorID)) {
 func (t *actorTable) appendChange(dst []byte, ch *Change, prev *uint64) []byte {
 	dst = binary.AppendUvarint(dst, t.lookup(ch.Actor))
 	dst = binary.AppendUvarint(dst, ch.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(ch.Deps)))
-	if len(ch.Deps) > 0 {
+	base, ok := t.dict.depsBase(ch.Actor)
+	p := planDeps(ch, base, ok)
+	n := 0
+	for a, seq := range ch.Deps {
+		if p.listed(ch, a, seq) {
+			n++
+		}
+	}
+	dst = binary.AppendUvarint(dst, p.word(n))
+	if n > 0 {
 		t.each(func(i uint64, a ActorID) {
-			if seq, ok := ch.Deps[a]; ok {
+			if seq, ok := ch.Deps[a]; ok && p.listed(ch, a, seq) {
 				dst = binary.AppendUvarint(dst, i)
 				dst = binary.AppendUvarint(dst, seq)
 			}
 		})
 	}
+	t.dict.rememberDeps(ch.Actor, ch.Deps)
 	dst = appendString(dst, ch.Msg)
 	dst = binary.AppendUvarint(dst, uint64(len(ch.Ops)))
 	for i := range ch.Ops {
 		dst = t.appendOp(dst, &ch.Ops[i], ch.Actor, prev)
 	}
 	return dst
+}
+
+// depsPlan is how a version-3 change writes its dependencies: whether
+// the author's own entry is implied, and whether the list is relative
+// to base, the stream's last vector for the author.
+type depsPlan struct {
+	own, stream bool
+	base        VersionVector
+}
+
+// planDeps plans ch's dependencies against the stream's vector for its
+// author, when there is one.
+func planDeps(ch *Change, base VersionVector, haveBase bool) depsPlan {
+	p := depsPlan{base: base}
+	if seq, ok := ch.Deps[ch.Actor]; ok && ch.Seq > 0 && seq == ch.Seq-1 {
+		p.own = true
+	}
+	if haveBase {
+		p.stream = true
+		for a := range base {
+			if _, ok := ch.Deps[a]; !ok {
+				p.stream = false
+				break
+			}
+		}
+	}
+	return p
+}
+
+// listed reports whether ch writes its dependency (a, seq).
+func (p depsPlan) listed(ch *Change, a ActorID, seq uint64) bool {
+	if p.own && a == ch.Actor {
+		return false
+	}
+	if p.stream {
+		if b, ok := p.base[a]; ok && b == seq {
+			return false
+		}
+	}
+	return true
+}
+
+// word is the dependency list's head for n listed entries.
+func (p depsPlan) word(n int) uint64 {
+	w := uint64(n) << 2
+	if p.own {
+		w |= 2
+	}
+	if p.stream {
+		w |= 1
+	}
+	return w
+}
+
+// depsView is the actor table's first-pass view of the stream's
+// dependency memory. appendChange updates the memory after each change
+// it writes, so collect, which runs over the whole record first, must
+// plan each change against the memory as it will stand then: the view
+// holds the vectors the record's earlier changes will have left, under
+// the memory's own insert rule, and leaves the memory alone.
+type depsView struct {
+	dict *StringDict
+	seen map[ActorID]VersionVector
+	// added counts the remembered authors the memory does not hold.
+	added int
+}
+
+// base is StringDict.depsBase as the memory will stand.
+func (v *depsView) base(author ActorID) (VersionVector, bool) {
+	if deps, ok := v.seen[author]; ok {
+		return deps, true
+	}
+	return v.dict.depsBase(author)
+}
+
+// remember is StringDict.rememberDeps into the view.
+func (v *depsView) remember(author ActorID, deps VersionVector) {
+	if v.dict == nil {
+		return
+	}
+	_, inView := v.seen[author]
+	_, inMemory := v.dict.deps[author]
+	if !admitsDeps(author, deps, inView || inMemory, len(v.dict.deps)+v.added) {
+		return
+	}
+	if !inView && !inMemory {
+		v.added++
+	}
+	if v.seen == nil {
+		v.seen = make(map[ActorID]VersionVector)
+	}
+	v.seen[author] = deps
 }
 
 func (t *actorTable) appendOp(dst []byte, op *Op, actor ActorID, prev *uint64) []byte {
@@ -503,7 +633,7 @@ func newBinDecoder(b []byte) (binDecoder, error) {
 	if len(b) == 0 {
 		return binDecoder{}, fmt.Errorf("%w: empty input", ErrBinaryFormat)
 	}
-	if b[0] != BinaryFormatVersion && b[0] != binaryFormatV1 {
+	if b[0] < binaryFormatV1 || b[0] > BinaryFormatVersion {
 		return binDecoder{}, &UnsupportedVersionError{Version: b[0]}
 	}
 	return binDecoder{b: b, pos: 1, version: b[0]}, nil
@@ -741,23 +871,8 @@ func (d *binDecoder) change() (Change, error) {
 	if ch.Seq, err = d.uvarint(); err != nil {
 		return ch, err
 	}
-	ndeps, err := d.uvarint()
-	if err != nil {
+	if ch.Deps, err = d.deps(ch.Actor, ch.Seq); err != nil {
 		return ch, err
-	}
-	if ndeps > 0 {
-		ch.Deps = make(VersionVector, d.capFor(ndeps))
-	}
-	for i := uint64(0); i < ndeps; i++ {
-		a, err := d.actor()
-		if err != nil {
-			return ch, err
-		}
-		s, err := d.uvarint()
-		if err != nil {
-			return ch, err
-		}
-		ch.Deps[a] = s
 	}
 	if ch.Msg, err = d.string(); err != nil {
 		return ch, err
@@ -775,6 +890,60 @@ func (d *binDecoder) change() (Change, error) {
 		ch.Ops = append(ch.Ops, op)
 	}
 	return ch, nil
+}
+
+// deps reads a change's dependencies: a version-2 list of every entry,
+// or a version-3 one, which may imply the author's own entry and list
+// only what moved since the stream's last vector for the author. A
+// version-3 vector is remembered through the stream, as the encoder
+// did.
+func (d *binDecoder) deps(author ActorID, seq uint64) (VersionVector, error) {
+	word, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	n, own, stream := word, false, false
+	if d.version != binaryFormatV2 {
+		n, own, stream = word>>2, word&2 != 0, word&1 != 0
+	}
+	var base VersionVector
+	if stream {
+		if d.dict == nil {
+			return nil, fmt.Errorf("%w: stream-mode dependencies outside a stream", ErrBinaryFormat)
+		}
+		var ok bool
+		if base, ok = d.dict.depsBase(author); !ok {
+			return nil, fmt.Errorf("%w: stream-mode dependencies for %q, whom the stream has not carried", ErrBinaryFormat, author)
+		}
+	}
+	if own && seq == 0 {
+		return nil, fmt.Errorf("%w: implied own dependency of a change with seq 0", ErrBinaryFormat)
+	}
+	var deps VersionVector
+	if n > 0 || len(base) > 0 || own {
+		deps = make(VersionVector, d.capFor(n)+len(base)+1)
+		for a, s := range base {
+			deps[a] = s
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		a, err := d.actor()
+		if err != nil {
+			return nil, err
+		}
+		s, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		deps[a] = s
+	}
+	if own {
+		deps[author] = seq - 1
+	}
+	if d.version != binaryFormatV2 {
+		d.dict.rememberDeps(author, deps)
+	}
+	return deps, nil
 }
 
 func (d *binDecoder) op(actor ActorID) (Op, error) {

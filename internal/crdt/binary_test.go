@@ -45,12 +45,33 @@ func goldenChanges() []Change {
 	}
 }
 
-// goldenChangesHex is the pinned version-2 encoding of goldenChanges.
+// goldenChangesHex is the pinned version-3 encoding of goldenChanges.
 // If this test fails after an intentional format change, bump
 // BinaryFormatVersion, keep a decoder and a decode-only golden for the
 // old layout, and regenerate — never silently repin under the same
 // version byte.
-const goldenChangesHex = "02" + "03" + "05616c696365" + "03626f62" + "037a6564" + "02" +
+const goldenChangesHex = "03" + "03" + "05616c696365" + "03626f62" + "037a6564" + "02" +
+	// alice, seq 1, no deps, "init", 6 ops
+	"00" + "01" + "00" + "04696e6974" + "06" +
+	"71" + "00" + "00" + "00" + "00" + "01" + // make map: head carries kind
+	"32" + "0101" + "046e616d65" + "00" + "0203616461" + // set 1@alice.name "ada"
+	"32" + "0101" + "0573636f7265" + "00" + "030000000000000440" + // score 2.5: 8B
+	"32" + "0101" + "026f6e" + "00" + "0401" + // on true
+	"32" + "0101" + "04626c6f62" + "00" + "0502dead" + // blob
+	"32" + "08726f6f74" + "03726566" + "00" + "060101" + // root.ref → 1@alice
+	// bob, seq 1, deps {alice 1, zed 3}: 2 listed, no msg, 5 ops
+	"01" + "01" + "08" + "0001" + "0203" + "00" + "05" +
+	"34" + "086c697374" + "00" + "00" + "01" + // insert null at head
+	"35" + "086c697374" + "00" + "0307" + "020178" + // update 7@bob "x"
+	"36" + "086c697374" + "00" + "0307" + "00" + // remove 7@bob
+	"b7" + "06637472" + "00" + "00" + "00" + "53" + // add -42: head carries delta
+	"33" + "08726f6f74" + "04676f6e65" + "00" + "00" // del root.gone
+
+// goldenChangesV2Hex is goldenChanges as version 2 wrote it: the
+// dependency count is a plain count. Version-2 records stay in existing
+// WALs, so it is decode-only: it must decode to goldenChanges and
+// re-encode as goldenChangesHex.
+const goldenChangesV2Hex = "02" + "03" + "05616c696365" + "03626f62" + "037a6564" + "02" +
 	// alice, seq 1, no deps, "init", 6 ops
 	"00" + "01" + "00" + "04696e6974" + "06" +
 	"71" + "00" + "00" + "00" + "00" + "01" + // make map: head carries kind
@@ -86,24 +107,51 @@ func TestBinaryGolden(t *testing.T) {
 	}
 }
 
+// TestBinaryOwnDependencyGolden pins the implied own dependency: a
+// change whose author's entry is seq−1 lists only its other entries.
+func TestBinaryOwnDependencyGolden(t *testing.T) {
+	chs := []Change{{Actor: "a", Seq: 3, Deps: VersionVector{"a": 2, "b": 5}}}
+	const want = "03" + "02" + "0161" + "0162" + "01" +
+		"00" + "03" + "06" + "0105" + "00" + "00" // a, seq 3, own implied + 1 listed: b 5
+	enc := EncodeChangesBinary(chs)
+	if got := hex.EncodeToString(enc); got != want {
+		t.Fatalf("own-dependency encoding drifted.\n got: %s\nwant: %s", got, want)
+	}
+	dec, err := DecodeChangesBinary(enc)
+	if err != nil || !sameChanges(dec, chs) {
+		t.Fatalf("decoded %+v, %v; want %+v", dec, err, chs)
+	}
+}
+
 func TestBinaryV1GoldenDecodes(t *testing.T) {
-	v1, err := hex.DecodeString(goldenChangesV1Hex)
+	testOldGoldenDecodes(t, 1, goldenChangesV1Hex)
+}
+
+func TestBinaryV2GoldenDecodes(t *testing.T) {
+	testOldGoldenDecodes(t, 2, goldenChangesV2Hex)
+}
+
+// testOldGoldenDecodes checks a decode-only golden of an older version:
+// it decodes to goldenChanges, re-encodes as goldenChangesHex, and
+// every truncation of it fails.
+func testOldGoldenDecodes(t *testing.T, version int, golden string) {
+	old, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeChangesBinary(v1)
+	dec, err := DecodeChangesBinary(old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(normalizeChanges(dec), normalizeChanges(goldenChanges())) {
-		t.Fatalf("version-1 golden decoded to\n%+v\nwant\n%+v", dec, goldenChanges())
+		t.Fatalf("version-%d golden decoded to\n%+v\nwant\n%+v", version, dec, goldenChanges())
 	}
 	if got := hex.EncodeToString(EncodeChangesBinary(dec)); got != goldenChangesHex {
-		t.Fatalf("version-1 golden re-encodes as\n%s\nwant\n%s", got, goldenChangesHex)
+		t.Fatalf("version-%d golden re-encodes as\n%s\nwant\n%s", version, got, goldenChangesHex)
 	}
-	for i := 1; i < len(v1); i++ {
-		if _, err := DecodeChangesBinary(v1[:i]); !errors.Is(err, ErrBinaryFormat) {
-			t.Fatalf("version-1 truncation at %d: err = %v, want ErrBinaryFormat", i, err)
+	for i := 1; i < len(old); i++ {
+		if _, err := DecodeChangesBinary(old[:i]); !errors.Is(err, ErrBinaryFormat) {
+			t.Fatalf("version-%d truncation at %d: err = %v, want ErrBinaryFormat", version, i, err)
 		}
 	}
 }
@@ -365,6 +413,9 @@ func genChanges(r *rand.Rand) []Change {
 			for j := 0; j < n; j++ {
 				ch.Deps[actor()] = r.Uint64() >> r.IntN(64)
 			}
+			if ch.Seq > 0 && r.IntN(2) == 0 {
+				ch.Deps[ch.Actor] = ch.Seq - 1
+			}
 		}
 		for j := r.IntN(5); j > 0; j-- {
 			if r.IntN(3) == 0 {
@@ -402,11 +453,16 @@ func FuzzChangesBinary(f *testing.F) {
 	for _, chs := range [][]Change{goldenChanges(), edgeCaseChanges(), nil} {
 		f.Add(EncodeChangesBinary(chs))
 	}
-	for _, h := range []string{goldenChangesV1Hex, goldenChangesHex} {
+	for _, h := range []string{goldenChangesV1Hex, goldenChangesV2Hex, goldenChangesHex} {
 		b, _ := hex.DecodeString(h)
 		f.Add(b)
 	}
 	f.Add([]byte{})
+	// Stream-mode dependencies outside a stream, with and without
+	// listed entries, and an implied own entry of a change with seq 0.
+	f.Add([]byte{BinaryFormatVersion, 0x01, 0x01, 'a', 0x01, 0x00, 0x02, 0x01, 0x00, 0x00})
+	f.Add([]byte{BinaryFormatVersion, 0x02, 0x01, 'a', 0x01, 'b', 0x01, 0x00, 0x02, 0x07, 0x01, 0x04, 0x00, 0x00})
+	f.Add([]byte{BinaryFormatVersion, 0x01, 0x01, 'a', 0x01, 0x00, 0x00, 0x02, 0x00, 0x00})
 	f.Add([]byte{BinaryFormatVersion, 0x01, 0x00, 0x01, 0x05})                               // actor index past the table
 	f.Add([]byte{BinaryFormatVersion, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x32, 0x03}) // ref to a missing actor
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -439,6 +495,21 @@ func FuzzChangesBinary(f *testing.F) {
 			if _, err := DecodeChangesBinary(enc[:i]); !errors.Is(err, ErrBinaryFormat) {
 				t.Fatalf("truncation at %d: err = %v, want ErrBinaryFormat", i, err)
 			}
+		}
+		// Through a stream: the same changes twice, then changes by the
+		// same actor pool, so later records list dependencies relative
+		// to the memory; each decodes exactly, and the input decoded
+		// through the stream fails or decodes, never panics.
+		var encDict, decDict StringDict
+		for i, chs := range [][]Change{want, want, genChanges(rand.New(rand.NewPCG(uint64(len(data)), h.Sum64())))} {
+			rec := encodeChanges(nil, chs, &encDict)
+			got, err := decodeChanges(rec, new(atomTable), &decDict)
+			if err != nil || !sameChanges(got, chs) {
+				t.Fatalf("record %d through a stream: %v\n got %+v\nwant %+v", i, err, got, chs)
+			}
+		}
+		if _, err := decodeChanges(data, new(atomTable), &decDict); err != nil && !errors.Is(err, ErrBinaryFormat) {
+			t.Fatalf("stream decode error %v does not wrap ErrBinaryFormat", err)
 		}
 	})
 }

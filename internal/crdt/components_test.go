@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -16,10 +18,19 @@ func goldenComponents() map[string][]Change {
 	return map[string][]Change{"tables": chs[1:], "json": chs[:1], "files": nil}
 }
 
-// goldenComponentsHex pins the record layout with version-2 change
+// goldenComponentsHex pins the record layout with version-3 change
 // encodings inside.
 const goldenComponentsHex = "03" +
-	"0566696c6573" + "03" + "020000" + // files: no actors, no changes
+	"0566696c6573" + "03" + "030000" + // files: no actors, no changes
+	"046a736f6e" + "1b" + "030105616c696365" + "01" + "000100016d01" + "3208726f6f74016b00020176" +
+	"067461626c6573" + "1e" + "030203626f6205616c696365" + "01" + "0002040101000197" + "0206637472000000" + "05"
+
+// goldenComponentsV2Hex is goldenComponents as version 2 wrote it.
+// Existing data directories hold such records, so it is decode-only:
+// it must decode to goldenComponents and re-encode as
+// goldenComponentsHex.
+const goldenComponentsV2Hex = "03" +
+	"0566696c6573" + "03" + "020000" +
 	"046a736f6e" + "1b" + "020105616c696365" + "01" + "000100016d01" + "3208726f6f74016b00020176" +
 	"067461626c6573" + "1e" + "020203626f6205616c696365" + "01" + "0002010101000197" + "0206637472000000" + "05"
 
@@ -39,11 +50,22 @@ func TestComponentsGolden(t *testing.T) {
 }
 
 func TestComponentsV1GoldenDecodes(t *testing.T) {
-	v1, err := hex.DecodeString(goldenComponentsV1Hex)
+	testOldComponentsDecode(t, 1, goldenComponentsV1Hex)
+}
+
+func TestComponentsV2GoldenDecodes(t *testing.T) {
+	testOldComponentsDecode(t, 2, goldenComponentsV2Hex)
+}
+
+// testOldComponentsDecode checks a decode-only record golden of an
+// older change format: it decodes to goldenComponents and re-encodes as
+// goldenComponentsHex.
+func testOldComponentsDecode(t *testing.T, version int, golden string) {
+	old, err := hex.DecodeString(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeComponents(v1)
+	dec, err := DecodeComponents(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +79,7 @@ func TestComponentsV1GoldenDecodes(t *testing.T) {
 		t.Fatalf("decoded %d components, want %d", len(dec), len(want))
 	}
 	if got := hex.EncodeToString(AppendComponents(nil, dec, nil)); got != goldenComponentsHex {
-		t.Fatalf("version-1 record re-encodes as\n%s\nwant\n%s", got, goldenComponentsHex)
+		t.Fatalf("version-%d record re-encodes as\n%s\nwant\n%s", version, got, goldenComponentsHex)
 	}
 }
 
@@ -224,5 +246,122 @@ func TestUnsupportedVersionIsTyped(t *testing.T) {
 	}
 	if _, err := DecodeChangesBinary([]byte{0}); !errors.As(err, &uv) || uv.Version != 0 {
 		t.Fatalf("version 0: err = %v, want an *UnsupportedVersionError", err)
+	}
+}
+
+// TestStreamDependencies streams changes of one author through a
+// dictionary: after the first, each lists only the dependency entries
+// that moved, the own entry implied; a change that drops an actor of
+// the remembered vector lists all of its entries again; every record
+// decodes to its input, and both memories end equal.
+func TestStreamDependencies(t *testing.T) {
+	change := func(seq uint64, deps VersionVector) Change {
+		return Change{Actor: "e/t", Seq: seq, Deps: deps, Ops: []Op{
+			{Type: OpSet, TS: TS{Counter: seq, Actor: "e/t"}, Obj: RootObj, Key: "k", Val: Num(float64(seq))}}}
+	}
+	records := []struct {
+		ch     Change
+		listed int // entries written
+		word   uint64
+	}{
+		{change(2, VersionVector{"e/t": 1, "c/t": 7, "f/t": 3}), 2, 2<<2 | 2},
+		{change(3, VersionVector{"e/t": 2, "c/t": 7, "f/t": 3}), 0, 3},
+		{change(4, VersionVector{"e/t": 3, "c/t": 8, "f/t": 3}), 1, 1<<2 | 3},
+		{change(5, VersionVector{"e/t": 4, "c/t": 8}), 1, 1<<2 | 2}, // f/t dropped: no stream
+		{change(6, VersionVector{"e/t": 5, "c/t": 8, "g/t": 1}), 1, 1<<2 | 3},
+	}
+	var enc, dec StringDict
+	for i, r := range records {
+		b := encodeChanges(nil, []Change{r.ch}, &enc)
+		// version, actor table, one change: actor 0 and a one-byte seq.
+		d := &binDecoder{b: b, dict: &StringDict{strs: slices.Clone(dec.strs)}, version: BinaryFormatVersion, pos: 1}
+		if err := d.actorTable(); err != nil {
+			t.Fatal(err)
+		}
+		if word := b[d.pos+3]; uint64(word) != r.word {
+			t.Fatalf("record %d: dependency word %#x, want %#x", i, word, r.word)
+		}
+		got, err := decodeChanges(b, new(atomTable), &dec)
+		if err != nil || !sameChanges(got, []Change{r.ch}) {
+			t.Fatalf("record %d: decoded %+v, %v; want %+v", i, got, err, r.ch)
+		}
+	}
+	if !reflect.DeepEqual(enc.deps, dec.deps) || len(enc.deps) != 1 {
+		t.Fatalf("memories diverged or hold the wrong authors:\nencoder %v\ndecoder %v", enc.deps, dec.deps)
+	}
+}
+
+// TestStreamDependencyErrors: a stream-mode dependency list decodes only
+// through a stream whose memory holds its author; anywhere else it is a
+// format error, not a panic.
+func TestStreamDependencyErrors(t *testing.T) {
+	// version 3, actor table ["a"], one change: actor 0, seq 1, stream
+	// mode with nothing listed, no message, no ops.
+	rec := []byte{BinaryFormatVersion, 0x01, 0x01, 'a', 0x01, 0x00, 0x01, 0x01, 0x00, 0x00}
+	if _, err := DecodeChangesBinary(rec); !errors.Is(err, ErrBinaryFormat) || !strings.Contains(err.Error(), "outside a stream") {
+		t.Fatalf("without a stream: err = %v, want a format error", err)
+	}
+	// Through a dictionary, "a" is a literal of header 2×1.
+	streamRec := []byte{BinaryFormatVersion, 0x01, 0x02, 'a', 0x01, 0x00, 0x01, 0x01, 0x00, 0x00}
+	var fresh StringDict
+	if _, err := decodeChanges(streamRec, new(atomTable), &fresh); !errors.Is(err, ErrBinaryFormat) || !strings.Contains(err.Error(), "has not carried") {
+		t.Fatalf("unknown author: err = %v, want a format error", err)
+	}
+	// An implied own entry for seq 0 has no value.
+	own := []byte{BinaryFormatVersion, 0x01, 0x01, 'a', 0x01, 0x00, 0x00, 0x02, 0x00, 0x00}
+	if _, err := DecodeChangesBinary(own); !errors.Is(err, ErrBinaryFormat) {
+		t.Fatalf("implied own entry at seq 0: err = %v, want a format error", err)
+	}
+	// Once the memory holds the author, the same bytes decode.
+	var known StringDict
+	known.rememberDeps("a", VersionVector{"b": 4})
+	chs, err := decodeChanges(streamRec, new(atomTable), &known)
+	if err != nil || !reflect.DeepEqual(chs[0].Deps, VersionVector{"b": 4}) {
+		t.Fatalf("remembered author: %+v, %v; want deps {b 4}", chs, err)
+	}
+}
+
+// TestDependencyMemoryBound: the memory holds at most dictMaxEntries
+// authors and keeps no vector of more than depsMaxActors entries or
+// with a string longer than dictMaxString, on both ends alike, and
+// every record still decodes exactly.
+func TestDependencyMemoryBound(t *testing.T) {
+	long := ActorID(strings.Repeat("x", dictMaxString+1))
+	wide := VersionVector{}
+	for i := 0; i <= depsMaxActors; i++ {
+		wide[ActorID(fmt.Sprint("w", i))] = 1
+	}
+	var chs []Change
+	for i := 0; i < dictMaxEntries+10; i++ {
+		chs = append(chs, Change{Actor: ActorID(fmt.Sprint("a", i)), Seq: 1, Deps: VersionVector{"c": uint64(i)}})
+	}
+	chs = append(chs,
+		Change{Actor: "a0", Seq: 2, Deps: wide},                           // too wide: a0 keeps {c 0}
+		Change{Actor: "a1", Seq: 2, Deps: VersionVector{long: 1}},         // too long: a1 keeps {c 1}
+		Change{Actor: long, Seq: 1, Deps: VersionVector{"c": 1}},          // author too long
+		Change{Actor: "a2", Seq: 2, Deps: VersionVector{"a2": 1, "c": 9}}) // replaced
+	var enc, dec StringDict
+	for round := 0; round < 2; round++ {
+		b := AppendComponents(nil, map[string][]Change{"json": chs}, &enc)
+		out, err := decodeWith(b, &dec)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !sameChanges(out["json"], chs) {
+			t.Fatalf("round %d: the record did not survive the full memory", round)
+		}
+	}
+	if len(enc.deps) != dictMaxEntries || !reflect.DeepEqual(enc.deps, dec.deps) {
+		t.Fatalf("memories hold %d and %d authors (equal: %v), want the bound %d",
+			len(enc.deps), len(dec.deps), reflect.DeepEqual(enc.deps, dec.deps), dictMaxEntries)
+	}
+	want := map[ActorID]VersionVector{"a0": {"c": 0}, "a1": {"c": 1}, "a2": {"a2": 1, "c": 9}}
+	for a, deps := range want {
+		if !reflect.DeepEqual(enc.deps[a], deps) {
+			t.Errorf("memory holds %v for %s, want %v", enc.deps[a], a, deps)
+		}
+	}
+	if _, ok := enc.deps[long]; ok {
+		t.Error("an author longer than dictMaxString entered the memory")
 	}
 }

@@ -31,12 +31,27 @@ import (
 // decode on its own, is byte-identical to one encoded before
 // dictionaries existed.
 //
+// Beside the strings, a StringDict remembers, per author, the
+// dependency vector of the last change of that author the stream
+// carried (binary.go's stream-mode dependencies), so a change lists
+// only the entries that moved since. Both ends remember a vector under
+// the same rule, after each change in record order: when it has at
+// most depsMaxActors entries, every actor in it and the author are at
+// most dictMaxString bytes long, and the author is already remembered
+// or fewer than dictMaxEntries authors are; otherwise the memory keeps
+// what it had. So the memory, too, is bounded whatever a peer sends,
+// at dictMaxEntries vectors of depsMaxActors short entries.
+//
 // The zero value is an empty dictionary. One StringDict serves one
 // side of one direction: an encoder's or a decoder's, never both.
 type StringDict struct {
 	strs []string
 	// index maps a string to its entry; only the encoder's is filled.
 	index map[string]uint32
+	// deps is the dependency memory: author → last remembered vector.
+	// The vectors are shared with the changes that carried them, which
+	// nothing mutates.
+	deps map[ActorID]VersionVector
 }
 
 // The dictionary's bounds: the entries it holds and the length of a
@@ -46,6 +61,10 @@ const (
 	dictMaxEntries = 1024
 	dictMaxString  = 64
 )
+
+// depsMaxActors bounds the entries of a dependency vector the memory
+// keeps; a replica's vectors name one actor per replica of a document.
+const depsMaxActors = 16
 
 // Len reports the number of strings the dictionary holds.
 func (t *StringDict) Len() int {
@@ -99,4 +118,44 @@ func (t *StringDict) learn(s string) {
 	if t.admits(s) {
 		t.strs = append(t.strs, s)
 	}
+}
+
+// depsBase returns the vector author's next stream-mode dependency
+// list is relative to, and whether the memory holds one.
+func (t *StringDict) depsBase(author ActorID) (VersionVector, bool) {
+	if t == nil {
+		return nil, false
+	}
+	base, ok := t.deps[author]
+	return base, ok
+}
+
+// rememberDeps records deps as author's last vector when the memory
+// admits it (see StringDict).
+func (t *StringDict) rememberDeps(author ActorID, deps VersionVector) {
+	if t == nil {
+		return
+	}
+	_, known := t.deps[author]
+	if !admitsDeps(author, deps, known, len(t.deps)) {
+		return
+	}
+	if t.deps == nil {
+		t.deps = make(map[ActorID]VersionVector)
+	}
+	t.deps[author] = deps
+}
+
+// admitsDeps is the memory's insert rule, given whether author is
+// already remembered and how many authors are.
+func admitsDeps(author ActorID, deps VersionVector, known bool, authors int) bool {
+	if len(deps) > depsMaxActors || len(author) > dictMaxString || (!known && authors >= dictMaxEntries) {
+		return false
+	}
+	for a := range deps {
+		if len(a) > dictMaxString {
+			return false
+		}
+	}
+	return true
 }

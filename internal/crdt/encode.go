@@ -30,9 +30,9 @@ func EncodeChangesInto(dst []byte, chs []Change) []byte {
 // written as dstrings. A nil dict writes the self-contained layout.
 func encodeChanges(dst []byte, chs []Change, dict *StringDict) []byte {
 	// Two passes: the actor table precedes the changes that index it.
-	t := actorTable{dict: dict}
+	t := actorTable{dict: dict, view: depsView{dict: dict}}
 	for i := range chs {
-		t.collect(&chs[i])
+		t.collect(&chs[i], i == len(chs)-1)
 	}
 	dst = append(dst, BinaryFormatVersion)
 	dst = binary.AppendUvarint(dst, uint64(t.n+len(t.more)))
@@ -71,7 +71,7 @@ func ChangesSizeHint(chs []Change) int {
 	n := 1 + binary.MaxVarintLen64 + uvarintLen(uint64(len(chs)))
 	for i := range chs {
 		ch := &chs[i]
-		n += entry(ch.Actor) + uvarintLen(ch.Seq) + uvarintLen(uint64(len(ch.Deps)))
+		n += entry(ch.Actor) + uvarintLen(ch.Seq) + uvarintLen(uint64(len(ch.Deps))<<2|3)
 		for a, seq := range ch.Deps {
 			n += entry(a) + uvarintLen(seq)
 		}

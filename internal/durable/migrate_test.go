@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/crdt"
@@ -135,8 +137,9 @@ func migrationDoc(t *testing.T) *crdt.Doc {
 
 // TestRecoverVersion1WALThenVersion2Appends: a data directory written by
 // the version-1 codec — a snapshot and WAL records — keeps recovering
-// after version-2 records are appended behind them, and replays to the
-// same document as the history it was written from.
+// after records of the current version (2 when this test was written)
+// are appended behind them, and replays to the same document as the
+// history it was written from.
 func TestRecoverVersion1WALThenVersion2Appends(t *testing.T) {
 	src := migrationDoc(t)
 	chs := src.GetChanges(nil)
@@ -177,28 +180,36 @@ func TestRecoverVersion1WALThenVersion2Appends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(what string, frames int) {
-		t.Helper()
-		st, err := Open(dir, Options{Fsync: FsyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = st.Close() }()
-		rec := st.Recovery()
-		if rec.Torn || rec.ReplayedFrames != frames {
-			t.Fatalf("%s: torn=%v, replayed %d frames, want false, %d", what, rec.Torn, rec.ReplayedFrames, frames)
-		}
-		got := recoveredDoc(t, rec, "json", "reader")
-		if !reflect.DeepEqual(got.ToGo(), src.ToGo()) || !got.Heads().Equal(src.Heads()) {
-			t.Fatalf("%s: recovered %v at %v, want %v at %v", what, got.ToGo(), got.Heads(), src.ToGo(), src.Heads())
-		}
-	}
-	// Segment 2 holds the version-1 records, then one version-2 record
-	// per appended change.
-	check("mixed WAL", v1Frames+len(chs)-2*third)
+	// Segment 2 holds the version-1 records, then one record of the
+	// current version per appended change.
+	expectRecovers(t, dir, "mixed WAL", v1Frames+len(chs)-2*third, src)
+	expectSnapshotRecovers(t, dir, chs, src)
+}
 
-	// Compaction rewrites everything as a version-2 snapshot.
-	st, err = Open(dir, Options{Fsync: FsyncNever})
+// expectRecovers opens dir, requires its recovery to replay frames WAL
+// frames without a torn tail, and to rebuild src's document.
+func expectRecovers(t *testing.T, dir, what string, frames int, src *crdt.Doc) {
+	t.Helper()
+	st, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	rec := st.Recovery()
+	if rec.Torn || rec.ReplayedFrames != frames {
+		t.Fatalf("%s: torn=%v, replayed %d frames, want false, %d", what, rec.Torn, rec.ReplayedFrames, frames)
+	}
+	got := recoveredDoc(t, rec, "json", "reader")
+	if !reflect.DeepEqual(got.ToGo(), src.ToGo()) || !got.Heads().Equal(src.Heads()) {
+		t.Fatalf("%s: recovered %v at %v, want %v at %v", what, got.ToGo(), got.Heads(), src.ToGo(), src.Heads())
+	}
+}
+
+// expectSnapshotRecovers compacts dir's history chs into a snapshot of
+// the current format and requires it to recover src on its own.
+func expectSnapshotRecovers(t *testing.T, dir string, chs []crdt.Change, src *crdt.Doc) {
+	t.Helper()
+	st, err := Open(dir, Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +219,73 @@ func TestRecoverVersion1WALThenVersion2Appends(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("after snapshot", 0)
+	expectRecovers(t, dir, "after snapshot", 0, src)
+}
+
+// TestRecoverVersion2WALThenVersion3Appends: a data directory the
+// version-2 build wrote (testdata/wal-v2: a snapshot of migrationDoc's
+// first third of changes, and a segment holding its second third as
+// records of two changes) keeps recovering after version-3 records,
+// with their implied own dependencies, are appended behind it, and
+// replays to the same document as the history it was written from.
+func TestRecoverVersion2WALThenVersion3Appends(t *testing.T) {
+	src := migrationDoc(t)
+	chs := src.GetChanges(nil)
+	third := len(chs) / 3
+
+	dir := t.TempDir()
+	entries, err := os.ReadDir(filepath.Join("testdata", "wal-v2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Frames := 0
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join("testdata", "wal-v2", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every record's change encoding is of format version 2.
+		for r := bytes.NewReader(b); ; {
+			payload, err := readFrame(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			at := 1 + 1 + len("json")
+			_, n := binary.Uvarint(payload[at:])
+			if v := payload[at+n]; v != 2 {
+				t.Fatalf("%s holds a record of change format %d, want 2", e.Name(), v)
+			}
+			if strings.HasSuffix(e.Name(), segSuffix) {
+				v2Frames++
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := st.Recovery()
+	if rec.Torn || !rec.SnapshotLoaded || len(rec.Components["json"]) != 2*third {
+		t.Fatalf("version-2 directory: torn=%v snapshot=%v changes=%d, want false, true, %d",
+			rec.Torn, rec.SnapshotLoaded, len(rec.Components["json"]), 2*third)
+	}
+	for i := 2 * third; i < len(chs); i++ {
+		if err := st.Append(map[string][]crdt.Change{"json": chs[i : i+1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expectRecovers(t, dir, "mixed WAL", v2Frames+len(chs)-2*third, src)
+	expectSnapshotRecovers(t, dir, chs, src)
 }
 
 // TestOpenRefusesFutureFormatRecord: a record that checksums but holds

@@ -417,15 +417,21 @@ func (s *Store) Append(components map[string][]crdt.Change) error {
 	// every append enqueued while we fsync still commits promptly.
 	s.committing = true
 	for s.round != nil {
-		// Commit window: yield once before sealing the round so runnable
-		// writers can enqueue and share this fsync. On GOMAXPROCS=1 the
-		// fsync syscall does not reliably hand off the P (sysmon retake
-		// latency), so without this yield concurrent writers serialize to
-		// one append per fsync. Arrivals during the window see round !=
-		// nil and join it; committing==true keeps them followers.
-		s.mu.Unlock()
-		runtime.Gosched()
-		s.mu.Lock()
+		// Commit window, under FsyncAlways: yield once before sealing the
+		// round so runnable writers can enqueue and share this fsync. On
+		// GOMAXPROCS=1 the fsync syscall does not reliably hand off the P
+		// (sysmon retake latency), so without this yield concurrent
+		// writers serialize to one append per fsync. Arrivals during the
+		// window see round != nil and join it; committing==true keeps
+		// them followers. The other policies have no per-round fsync to
+		// share, and a deployment appends under its transport lock, where
+		// a yield only hands the P away inside the write's exclusive
+		// section.
+		if s.opts.Fsync == FsyncAlways {
+			s.mu.Unlock()
+			runtime.Gosched()
+			s.mu.Lock()
+		}
 		cur := s.round
 		frames := s.queue
 		s.round, s.queue = nil, nil

@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkServeRead serves GET /books/:id on the bookworm app with 500
-// books, as an edge serves a read: classify the request, then run it on
-// a write-guarded reader through the VM and sqldb, and encode the JSON
-// response.
+// books, as an edge serves a read (cluster.Server.Invoke): resolve the
+// route once, classify the match, then run it on a write-guarded reader
+// through the VM and sqldb, and encode the JSON response.
 func BenchmarkServeRead(b *testing.B) {
 	const books = 500
 	app := newBookworm(b, books)
@@ -22,14 +22,24 @@ func BenchmarkServeRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := reqs[i%books]
-		if !app.RequestReadOnly(req) {
-			b.Fatalf("%s %s is not classified read-only", req.Method, req.Path)
-		}
-		resp, _, err := app.InvokeRead(req)
-		if err != nil || resp.Status != http.StatusOK || len(resp.Body) == 0 {
-			b.Fatalf("%s: status %d, %v", req.Path, resp.Status, err)
-		}
+		serveRead(b, app, reqs[i%books])
+	}
+}
+
+// serveRead serves req as cluster.Server.Invoke serves a read: one
+// route walk into a Match, the classification of that match, and the
+// read-only invocation of it.
+func serveRead(b *testing.B, app *httpapp.App, req *httpapp.Request) {
+	var m httpapp.Match
+	if err := app.Resolve(req, &m); err != nil {
+		b.Fatalf("%s %s: %v", req.Method, req.Path, err)
+	}
+	if !app.MatchReadOnly(req, &m) {
+		b.Fatalf("%s %s is not classified read-only", req.Method, req.Path)
+	}
+	resp, _, err := app.InvokeReadMatch(req, &m)
+	if err != nil || resp.Status != http.StatusOK || len(resp.Body) == 0 {
+		b.Fatalf("%s: status %d, %v", req.Path, resp.Status, err)
 	}
 }
 
@@ -46,12 +56,6 @@ func BenchmarkServePopular(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !app.RequestReadOnly(req) {
-			b.Fatalf("%s %s is not classified read-only", req.Method, req.Path)
-		}
-		resp, _, err := app.InvokeRead(req)
-		if err != nil || resp.Status != http.StatusOK || len(resp.Body) == 0 {
-			b.Fatalf("%s: status %d, %v", req.Path, resp.Status, err)
-		}
+		serveRead(b, app, req)
 	}
 }

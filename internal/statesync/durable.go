@@ -29,6 +29,25 @@ type Persister struct {
 	mu        sync.Mutex
 	watermark Heads // persisted knowledge per component
 	pending   int   // changes appended since the last snapshot
+	// synced is the state's components at the last Sync that left the
+	// WAL holding all of them, with their Version() readings then.
+	synced componentVersions
+}
+
+// componentVersions identifies a replica state's history: its three
+// component documents and their mutation counters. While the reading
+// does not move, no component has gained a change.
+type componentVersions struct {
+	docs [3]*crdt.Doc
+	vers [3]uint64
+}
+
+func readComponentVersions(state *ReplicaState) componentVersions {
+	c := componentVersions{docs: [3]*crdt.Doc{state.JSON, state.Tables.Doc(), state.Files.Doc()}}
+	for i, d := range c.docs {
+		c.vers[i] = d.Version()
+	}
+	return c
 }
 
 // NewPersister wraps an open store, resuming the persisted-heads
@@ -63,16 +82,29 @@ func (p *Persister) Heads() Heads {
 // callers ack only after it does. One record per Sync keeps a
 // multi-component delta atomic: a torn tail loses all of it, never the
 // files container while keeping the json one.
+//
+// A Sync whose state's components have not moved (Version) since the
+// last Sync that left the WAL holding all of them returns at once,
+// without computing a delta: the transport refreshes before every
+// push, and the serve path has mostly persisted the commit being pushed
+// already. A failed Append records nothing, so the next Sync retries
+// it.
 func (p *Persister) Sync(state *ReplicaState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	now := readComponentVersions(state)
+	if now == p.synced {
+		return nil
+	}
 	delta := state.Delta(p.watermark)
 	if delta.Empty() {
+		p.synced = now
 		return nil
 	}
 	if err := p.store.Append(delta); err != nil {
 		return fmt.Errorf("statesync: persist: %w", err)
 	}
+	p.synced = now
 	p.watermark = advanceHeads(p.watermark, delta)
 	p.pending += delta.Changes()
 	if p.snapshotEvery > 0 && p.pending >= p.snapshotEvery {

@@ -87,6 +87,89 @@ func TestPersisterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersisterRetriesFailedAppend: a Sync whose append fails records
+// nothing, so the next Sync, with the state unchanged since, appends
+// the same changes instead of taking the unchanged components for
+// persisted.
+func TestPersisterRetriesFailedAppend(t *testing.T) {
+	store, err := durable.Open(t.TempDir(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = store.Close() }()
+	closed, err := durable.Open(t.TempDir(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := newState(t, "edge")
+	p := NewPersister(store, 0)
+	if err := p.Sync(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.JSON.PutScalar("root", "v", 1); err != nil {
+		t.Fatal(err)
+	}
+	p.store = closed
+	if err := p.Sync(st); err == nil {
+		t.Fatal("Sync into a closed store succeeded")
+	}
+	p.store = store
+	before := store.Stats().Appends
+	if err := p.Sync(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Stats().Appends - before; got != 1 {
+		t.Fatalf("the Sync after a failed append appended %d records, want 1", got)
+	}
+	if p.Heads()[CompJSON]["edge/j"] == 0 {
+		t.Fatal("the retried change is not in the persisted heads")
+	}
+}
+
+// TestPersisterNoopSyncAllocatesNothing: a Sync that finds the state's
+// components where the last one left them returns without computing a
+// delta, and allocates nothing; a change in any component is still
+// appended.
+func TestPersisterNoopSyncAllocatesNothing(t *testing.T) {
+	store, err := durable.Open(t.TempDir(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = store.Close() }()
+	st := newState(t, "edge")
+	p := NewPersister(store, 0)
+	if err := p.Sync(st); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := p.Sync(st); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a no-op Sync allocated %.0f times, want 0", allocs)
+	}
+	writes := []func() error{
+		func() error { return st.JSON.PutScalar("root", "v", 2) },
+		func() error { return st.Tables.EnsureTable("users") },
+		func() error { return st.Files.Write("a.txt", []byte("x")) },
+	}
+	for i, write := range writes {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		before := store.Stats().Appends
+		if err := p.Sync(st); err != nil {
+			t.Fatal(err)
+		}
+		if store.Stats().Appends != before+1 {
+			t.Fatalf("write %d: Sync appended %d records, want 1", i, store.Stats().Appends-before)
+		}
+	}
+}
+
 // TestTCPKillRestartResync is the durability acceptance scenario and the
 // regression test for re-handshaking from in-memory heads only: kill an
 // edge mid-deployment, restart it from disk, and verify the re-handshake

@@ -45,18 +45,30 @@ func goldenFrames() map[string]*frame {
 var goldenFrameHex = map[string]string{
 	// kind, version, from "edge-1", heads {json: {cloud 2, edge-1 3},
 	// tables: {cloud 1}}.
-	"hello": "0104" + "06656467652d31" +
+	"hello": "0105" + "06656467652d31" +
 		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401",
 	// kind, delta {json: 48-byte change batch: actors [edge-1 cloud],
-	// edge-1 seq 3 deps {cloud 2}, two ops whose heads say "the
-	// change's actor", the second also "previous counter + 1"; 4
-	// travels as a varint}.
+	// edge-1 seq 3 deps {cloud 2} (dependency word 04: one entry
+	// listed), two ops whose heads say "the change's actor", the
+	// second also "previous counter + 1"; 4 travels as a varint}.
+	"state": "02" +
+		"01" + "046a736f6e" + "30" + "03" + "02" + "06656467652d31" + "05636c6f7564" + "01" +
+		"00" + "03" + "040102" + "00" + "02" +
+		"12" + "09" + "08726f6f74" + "016e" + "00" + "8308" +
+		"32" + "08726f6f74" + "0166" + "00" + "0502cafe",
+	"heartbeat": "03",
+}
+
+// wireV4Frames are the goldens of wire version 4, whose state frames
+// carried version-2 change records: a plain dependency count.
+var wireV4Frames = map[string]string{
+	"hello": "0104" + "06656467652d31" +
+		"02" + "046a736f6e" + "02" + "05636c6f756402" + "06656467652d3103" + "067461626c6573" + "01" + "05636c6f756401",
 	"state": "02" +
 		"01" + "046a736f6e" + "30" + "02" + "02" + "06656467652d31" + "05636c6f7564" + "01" +
 		"00" + "03" + "010102" + "00" + "02" +
 		"12" + "09" + "08726f6f74" + "016e" + "00" + "8308" +
 		"32" + "08726f6f74" + "0166" + "00" + "0502cafe",
-	"heartbeat": "03",
 }
 
 // wireV3Frames are the goldens of wire version 3: a 4-byte length word,
@@ -108,18 +120,18 @@ func TestFrameGolden(t *testing.T) {
 // enters it into the dictionary; the second repeats them all as
 // references; the third adds one new key.
 func goldenSession() []*frame {
-	set := func(seq, counter uint64, key string, n float64) Delta {
+	set := func(seq, cloud, counter uint64, key string, n float64) Delta {
 		return Delta{CompTables: {{
-			Actor: "edge1/t", Seq: seq, Deps: crdt.VersionVector{"cloud/t": 7},
+			Actor: "edge1/t", Seq: seq, Deps: crdt.VersionVector{"cloud/t": cloud, "edge1/t": seq - 1},
 			Ops: []crdt.Op{{Type: crdt.OpSet, TS: crdt.TS{Counter: counter, Actor: "edge1/t"},
 				Obj: "12@cloud/t", Key: key, Val: crdt.Num(n)}},
 		}}}
 	}
 	return []*frame{
 		{Kind: frameHello, From: "edge1", Heads: Heads{CompTables: {"cloud/t": 7, "edge1/t": 2}}},
-		{Kind: frameState, Delta: set(3, 40, "stock", 4)},
-		{Kind: frameState, Delta: set(4, 41, "stock", 3)},
-		{Kind: frameState, Delta: set(5, 42, "loans", 1)},
+		{Kind: frameState, Delta: set(3, 7, 40, "stock", 4)},
+		{Kind: frameState, Delta: set(4, 7, 41, "stock", 3)},
+		{Kind: frameState, Delta: set(5, 8, 42, "loans", 1)},
 	}
 }
 
@@ -127,26 +139,31 @@ func goldenSession() []*frame {
 // included.
 var goldenSessionHex = []string{
 	// Hello: length word 2×35, no dictionary.
-	"46" + "0104" + "056564676531" + "01" + "067461626c6573" + "02" + "07636c6f75642f7407" + "0765646765312f7402",
+	"46" + "0105" + "056564676531" + "01" + "067461626c6573" + "02" + "07636c6f75642f7407" + "0765646765312f7402",
 	// Length word 2×49. Literals (length×2), each entered into the
 	// dictionary: "tables" (entry 0), actors "edge1/t" (1) and
 	// "cloud/t" (2), key "stock" (3). The op's object "12@cloud/t" is
 	// a counter@actor ref into the record's actor table, as without a
-	// dictionary.
+	// dictionary. The dependency word 06 is one listed entry (cloud/t
+	// 7) and the own entry implied; the stream remembers {cloud/t 7,
+	// edge1/t 2} for edge1/t.
 	"62" + "02" + "01" + "0c7461626c6573" + "27" +
-		"02" + "02" + "0e65646765312f74" + "0e636c6f75642f74" + "01" +
-		"00" + "03" + "010107" + "00" + "01" +
+		"03" + "02" + "0e65646765312f74" + "0e636c6f75642f74" + "01" +
+		"00" + "03" + "060107" + "00" + "01" +
 		"12" + "28" + "030c" + "0a73746f636b" + "00" + "8308",
-	// Length word 2×24: the same strings as references (index×2+1).
-	"30" + "02" + "01" + "01" + "14" +
-		"02" + "02" + "03" + "05" + "01" +
-		"00" + "04" + "010107" + "00" + "01" +
+	// Length word 2×22: the same strings as references (index×2+1),
+	// and the dependency word 03: own entry implied, nothing listed,
+	// the rest as the stream last carried it.
+	"2c" + "02" + "01" + "01" + "12" +
+		"03" + "02" + "03" + "05" + "01" +
+		"00" + "04" + "03" + "00" + "01" +
 		"12" + "29" + "030c" + "07" + "00" + "8306",
-	// Length word 2×29: references, and "loans" as a new literal
-	// (entry 4).
+	// Length word 2×29: references, "loans" as a new literal (entry
+	// 4), and of the dependencies only the one that moved (word 07:
+	// cloud/t 8).
 	"3a" + "02" + "01" + "01" + "19" +
-		"02" + "02" + "03" + "05" + "01" +
-		"00" + "05" + "010107" + "00" + "01" +
+		"03" + "02" + "03" + "05" + "01" +
+		"00" + "05" + "070108" + "00" + "01" +
 		"12" + "2a" + "030c" + "0a6c6f616e73" + "00" + "8302",
 }
 
@@ -283,7 +300,8 @@ func expectBadHello(t *testing.T, wire []byte, want string) {
 }
 
 // expectOldHelloRejected requires an old wire version's hello, framed
-// as that version framed it, to be refused with an error naming the
+// as that version framed it (a 4-byte length word up to version 3, a
+// varint one from version 4), to be refused with an error naming the
 // version, at the frame layer and at the master.
 func expectOldHelloRejected(t *testing.T, helloHex string, version int) {
 	t.Helper()
@@ -291,12 +309,16 @@ func expectOldHelloRejected(t *testing.T, helloHex string, version int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	framed := lengthPrefixed(hello)
+	if version >= 4 {
+		framed = wireFramed(hello)
+	}
 	want := fmt.Sprintf("peer speaks wire version %d", version)
-	_, _, err = readFrame(bytes.NewReader(lengthPrefixed(hello)), nil)
+	_, _, err = readFrame(bytes.NewReader(framed), nil)
 	if !errors.Is(err, errFrameFormat) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("readFrame(v%d hello) err = %v, want a wire-version error", version, err)
 	}
-	expectBadHello(t, lengthPrefixed(hello), want)
+	expectBadHello(t, framed, want)
 }
 
 // TestWireV2HelloRejected: a peer on wire version 2 writes version-1
@@ -311,6 +333,14 @@ func TestWireV2HelloRejected(t *testing.T) {
 // must be refused at the hello with an error naming its version.
 func TestWireV3HelloRejected(t *testing.T) {
 	expectOldHelloRejected(t, wireV3Frames["hello"], 3)
+}
+
+// TestWireV4HelloRejected: a peer on wire version 4 frames as this
+// version does but writes change records of format version 2, whose
+// plain dependency count this build's stream decoder would misread;
+// it must be refused at the hello with an error naming its version.
+func TestWireV4HelloRejected(t *testing.T) {
+	expectOldHelloRejected(t, wireV4Frames["hello"], 4)
 }
 
 // genFrame builds a random frame in the shape decodeFrame returns: a
@@ -401,9 +431,9 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{byte(frameHello)})
 	// A version-1 ack frame (kind 4, acked 16), refused by version.
 	f.Add([]byte{1, 4, 0, 0, 0, 0, 0, 0x20})
-	// Frames of wire versions 2 and 3, whose payloads led with the
+	// Frames of wire versions 2 to 4; up to 3, payloads led with the
 	// version byte.
-	for _, frames := range []map[string]string{wireV2Frames, wireV3Frames} {
+	for _, frames := range []map[string]string{wireV2Frames, wireV3Frames, wireV4Frames} {
 		for _, h := range frames {
 			b, _ := hex.DecodeString(h)
 			f.Add(b)
@@ -450,17 +480,55 @@ func manyKeysFrame(n int) *frame {
 	return &frame{Kind: frameState, Delta: Delta{CompJSON: {ch}}}
 }
 
+// chainFrames is n state frames of changes by a few authors, each
+// depending on its author's previous change and on a few other actors
+// whose entries move now and then, and sometimes drop out, so the
+// frames list their dependencies in stream mode, and out of it.
+func chainFrames(r *rand.Rand, n int) []*frame {
+	authors := []crdt.ActorID{"edge1/t", "edge2/t", "cloud/t"}
+	seqs := map[crdt.ActorID]uint64{}
+	var frames []*frame
+	for ; n > 0; n-- {
+		var chs []crdt.Change
+		for k := 1 + r.IntN(3); k > 0; k-- {
+			a := authors[r.IntN(len(authors))]
+			seqs[a]++
+			deps := crdt.VersionVector{}
+			if seqs[a] > 1 || r.IntN(2) == 0 {
+				deps[a] = seqs[a] - 1
+			}
+			for _, b := range authors {
+				if b != a && r.IntN(4) != 0 {
+					deps[b] = seqs[b] + uint64(r.IntN(2))
+				}
+			}
+			if len(deps) == 0 {
+				deps = nil // as decoding returns it
+			}
+			chs = append(chs, crdt.Change{Actor: a, Seq: seqs[a], Deps: deps, Ops: []crdt.Op{{
+				Type: crdt.OpSet, TS: crdt.TS{Counter: seqs[a], Actor: a}, Obj: "root", Key: "k", Val: crdt.Num(float64(n)),
+			}}})
+		}
+		frames = append(frames, &frame{Kind: frameState, Delta: Delta{CompTables: chs}})
+	}
+	return frames
+}
+
 // FuzzFrameStream checks a connection's frames end to end: a random
-// sequence of frames, written through one wireConn (its dictionary,
-// and compression when the input asks for it), reads back through one
-// reading dictionary exactly as written; any cut or corruption of the
-// stream makes reading fail, never panic; and arbitrary input read as
-// a stream never panics either. An input whose first byte is odd
-// starts with a frame that fills the dictionary past its bound.
+// sequence of frames, written through one wireConn (its dictionary and
+// dependency memory, and compression when the input asks for it),
+// reads back through one reading dictionary exactly as written; any
+// cut or corruption of the stream makes reading fail, never panic; and
+// arbitrary input read as a stream never panics either. An input whose
+// first byte is odd starts with a frame that fills the dictionary past
+// its bound; one whose first byte has bit 1 set adds frames of
+// dependency chains, which list their dependencies in stream mode.
 func FuzzFrameStream(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1})
+	f.Add([]byte{2})
 	f.Add([]byte{3, 0x40, 0x07})
+	f.Add([]byte{6, 0x01})
 	for _, h := range goldenSessionHex {
 		b, _ := hex.DecodeString(h)
 		f.Add(b)
@@ -480,6 +548,9 @@ func FuzzFrameStream(f *testing.F) {
 		if len(data) > 0 && data[0]&1 == 1 {
 			// Past crdt's bound of 1024 strings.
 			frames = append(frames, manyKeysFrame(1200))
+		}
+		if len(data) > 0 && data[0]&2 != 0 {
+			frames = append(frames, chainFrames(r, 1+r.IntN(8))...)
 		}
 		for n := 1 + r.IntN(8); n > 0; n-- {
 			g := genFrame(r)

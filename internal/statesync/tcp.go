@@ -770,8 +770,9 @@ func (s *tcpSession) run(conn net.Conn, r *bufio.Reader) {
 // commit starts, capped at the edge's Interval. It trades replication
 // lag against per-frame cost: each push is a write and a read syscall,
 // goroutine wake-ups and a WAL record at the master, and the frame's
-// own header. DESIGN.md §23 records the sweep that chose it.
-const edgePace = 40 * time.Millisecond
+// own header and dependencies. DESIGN.md §23 records the sweep that
+// chose 40 ms, and §25 the stream-scoped dependencies that pay for 20.
+const edgePace = 20 * time.Millisecond
 
 // push ships the deltas the peer is missing on every tick and every
 // wake, plus heartbeats that keep an idle link inside the peer's read
@@ -905,8 +906,8 @@ func (s *tcpSession) pushDelta(wc *wireConn, woken bool) error {
 // read applies inbound state frames, counts heartbeats, and treats a
 // silent peer as dead once the read deadline lapses. It never writes.
 func (s *tcpSession) read(conn net.Conn, r *bufio.Reader) {
-	// The inbound direction's dictionary, empty at the hello like the
-	// peer's encoder.
+	// The inbound direction's dictionary and dependency memory, empty at
+	// the hello like the peer's encoder's.
 	var dict crdt.StringDict
 	for {
 		if s.cfg.ReadTimeout > 0 {

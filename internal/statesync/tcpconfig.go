@@ -46,7 +46,7 @@ func (b BackoffConfig) Delay(attempt int, rng *rand.Rand) time.Duration {
 type TCPConfig struct {
 	// Interval is the fallback push period (required, > 0). Both ends
 	// push on events: an edge its commits through TCPEdge.Do, at most
-	// one push per min(edgePace, Interval) (40 ms), and the master a
+	// one push per min(edgePace, Interval) (20 ms), and the master a
 	// commit through TCPMaster.Do or an edge delta it applied, at once.
 	// The tick ships whatever no event did, such as state changed
 	// outside Do.

@@ -40,22 +40,26 @@ import (
 // IDs cross the connection in full once and as a dictionary index
 // after that (crdt/dict.go). A frame is decoded in the order it was
 // encoded, so the two tables stay in lockstep; a lost connection loses
-// both, and the next hello starts afresh. The batch is otherwise the
-// very record the WAL appends, whose change encodings are crdt's
-// change format version 2; the WAL passes no dictionary, so its
-// records stay self-contained. There is one wire version and no
-// negotiation. A hello of another version fails. A peer of wire
-// version 3 or older, or a JSON-framed one, wrote a 4-byte big-endian
-// length word, whose first byte is 0 below 16 MiB; since no payload
-// is empty, readFrame takes a zero length word for such a peer and
-// names its version (or JSON) instead of misparsing it.
+// both, and the next hello starts afresh. The same StringDict also
+// remembers, per author, the last dependency vector the direction
+// carried, so a change lists only the dependencies that moved since
+// (crdt's stream-mode dependencies). The batch is otherwise the very
+// record the WAL appends, whose change encodings are crdt's change
+// format version 3; the WAL passes no dictionary, so its records stay
+// self-contained. There is one wire version and no negotiation. A
+// hello of another version fails. A peer of wire version 3 or older,
+// or a JSON-framed one, wrote a 4-byte big-endian length word, whose
+// first byte is 0 below 16 MiB; since no payload is empty, readFrame
+// takes a zero length word for such a peer and names its version (or
+// JSON) instead of misparsing it.
 
 // wireVersion is the hello's version byte. Bump it on any layout
 // change, including one inside the delta's change encodings; peers on
 // different versions refuse each other's hello. Version 4 brought the
 // varint length word, the per-connection dictionaries and state frames
-// without version, sender or heads.
-const wireVersion byte = 4
+// without version, sender or heads; version 5 the change format
+// version 3 and its stream-mode dependencies.
+const wireVersion byte = 5
 
 // frameKind tags wire frames; it is the payload's first byte.
 type frameKind uint8
@@ -370,9 +374,9 @@ type wireConn struct {
 	// compress enables outbound compression of payloads of at least
 	// minCompressBytes.
 	compress bool
-	// dict is the outbound direction's string dictionary. Every frame
-	// encoded through it must reach the peer in order, so a failed
-	// write ends the session.
+	// dict is the outbound direction's string dictionary and
+	// dependency memory. Every frame encoded through it must reach the
+	// peer in order, so a failed write ends the session.
 	dict crdt.StringDict
 	fw   *flate.Writer
 	cbuf bytes.Buffer
